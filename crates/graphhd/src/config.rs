@@ -63,7 +63,7 @@ pub struct GraphHdConfig {
     pub pagerank: PageRankConfig,
     /// The centrality metric used for vertex identifiers.
     pub centrality: CentralityKind,
-    /// The encoding strategy (paper default: [`EncoderKind::Centrality`];
+    /// The encoder kind (paper default: [`EncoderKind::Centrality`];
     /// see [`crate::strategy`] for the alternatives).
     pub encoder: EncoderKind,
     /// Tie-break policy for bundling majorities.
@@ -95,6 +95,27 @@ impl GraphHdConfig {
         GraphHdConfigBuilder {
             config: Self::default(),
         }
+    }
+
+    /// The checks behind [`GraphHdConfigBuilder::build`], also applied
+    /// by [`GraphEncoder::new`](crate::GraphEncoder::new) because the
+    /// fields are public.
+    pub(crate) fn validate(&self) -> Result<(), Error> {
+        if self.dim == 0 {
+            return Err(Error::ZeroDimension);
+        }
+        self.encoder.validate()?;
+        // Level i flips i·(dim/2)/(levels−1) positions, so past
+        // dim/2 + 1 levels consecutive levels are identical — and the
+        // level memory, which holds every level, only grows.
+        if let EncoderKind::VertexSimilarity { levels } = self.encoder {
+            if levels as usize - 1 > self.dim / 2 {
+                return Err(Error::InvalidEncoderConfig {
+                    what: "vertex-similarity levels must not exceed dim / 2 + 1",
+                });
+            }
+        }
+        Ok(())
     }
 }
 
@@ -171,12 +192,10 @@ impl GraphHdConfigBuilder {
     ///
     /// Returns [`Error::ZeroDimension`] if the dimension is zero and
     /// [`Error::InvalidEncoderConfig`] if the selected encoder strategy
-    /// has degenerate parameters.
+    /// has degenerate parameters, including more vertex-similarity
+    /// levels than `dim / 2 + 1`.
     pub fn build(self) -> Result<GraphHdConfig, Error> {
-        if self.config.dim == 0 {
-            return Err(Error::ZeroDimension);
-        }
-        self.config.encoder.validate()?;
+        self.config.validate()?;
         Ok(self.config)
     }
 }
@@ -263,6 +282,22 @@ mod tests {
                 .unwrap_err(),
             Error::InvalidEncoderConfig { .. }
         ));
+        // dim 64 flips at most 32 positions: 33 distinct levels.
+        let with_levels = |levels| {
+            GraphHdConfig::builder()
+                .dim(64)
+                .with_encoder(EncoderKind::VertexSimilarity { levels })
+                .build()
+        };
+        assert!(with_levels(33).is_ok());
+        for levels in [34, u32::MAX] {
+            assert_eq!(
+                with_levels(levels).unwrap_err(),
+                Error::InvalidEncoderConfig {
+                    what: "vertex-similarity levels must not exceed dim / 2 + 1"
+                }
+            );
+        }
     }
 
     #[test]

@@ -1,23 +1,37 @@
 //! The GraphHD graph encoder (paper Section IV-B/IV-C, Figure 2).
+//!
+//! Every [`EncoderKind`] runs through one edge-bundling loop: rank the
+//! vertices, bind the hypervectors of each edge's two endpoints, and add
+//! the edge hypervector to a bit-sliced bundle. The kinds differ only in
+//! the inputs to that loop — the vertex hypervector, the orientation of
+//! the bind, and the edge's vote weight — and
+//! [`LabeledGraphEncoder`](crate::labeled::LabeledGraphEncoder) reuses the
+//! same loop with label-bound vertex hypervectors.
 
-use crate::strategy::{self, GraphEncodingStrategy};
-use crate::{EncoderKind, Error, GraphHdConfig};
-use graphcore::Graph;
-use hdvec::{Accumulator, Hypervector, ItemMemory};
+use crate::{CentralityKind, EncoderKind, Error, GraphHdConfig};
+use graphcore::{degree_centrality, pagerank_ranks, ranks_by_score, similarity, Graph};
+use hdvec::{Accumulator, BitSliceAccumulator, Hypervector, ItemMemory, LevelMemory};
 use parallel::{Pool, PoolHandle};
+use prng::mix_seed;
 use std::borrow::Borrow;
 use std::sync::Arc;
 
-/// Encodes graphs into hypervectors through the configured
-/// [`GraphEncodingStrategy`]. Under the default
-/// [`EncoderKind::Centrality`] this is the paper's recipe: PageRank ranks
-/// select basis vertex hypervectors, edges bind their endpoints, and the
-/// edge hypervectors are bundled into the graph hypervector.
+/// Seed stream for the level memory of the vertex-similarity kind,
+/// independent from the basis item memory (which uses the config seed
+/// directly) and from the label memory of [`crate::labeled`].
+const LEVEL_SEED_STREAM: u64 = 0x1E_5E1;
+
+/// Encodes graphs into hypervectors with the recipe the config's
+/// [`EncoderKind`] selects. Under the default [`EncoderKind::Centrality`]
+/// this is the paper's recipe: PageRank ranks select basis vertex
+/// hypervectors, edges bind their endpoints, and the edge hypervectors
+/// are bundled into the graph hypervector.
 ///
 /// The same encoder instance (same config/seed) **must** be used for
 /// training and inference — the paper emphasises that `Enc` is shared —
-/// and because every strategy is a pure function of the config, encoders
-/// constructed from equal configs agree across machines.
+/// and because every kind is a pure function of the config and the
+/// graph, encoders constructed from equal configs agree bit-for-bit
+/// across threads, processes and machines.
 ///
 /// # Examples
 ///
@@ -36,29 +50,40 @@ use std::sync::Arc;
 pub struct GraphEncoder {
     config: GraphHdConfig,
     memory: ItemMemory,
-    strategy: Arc<dyn GraphEncodingStrategy>,
+    /// The similarity level memory, built only for
+    /// [`EncoderKind::VertexSimilarity`] (shared by clones).
+    levels: Option<Arc<LevelMemory>>,
     pool: PoolHandle,
 }
 
 impl GraphEncoder {
-    /// Creates an encoder from a configuration, building the strategy
-    /// its [`EncoderKind`] selects. Batch operations run on the
-    /// process-wide [`Pool::global`] unless [`with_pool`] selects an
+    /// Creates an encoder from a configuration. Batch operations run on
+    /// the process-wide [`Pool::global`] unless [`with_pool`] selects an
     /// explicit one.
     ///
     /// [`with_pool`]: Self::with_pool
     ///
     /// # Errors
     ///
-    /// Returns [`Error::ZeroDimension`] if `config.dim == 0` (the
-    /// underlying [`hdvec::HdvError`] is routed through the crate's
-    /// unified error type instead of leaking across the boundary) and
-    /// [`Error::InvalidEncoderConfig`] for degenerate strategy
-    /// parameters.
+    /// Returns [`Error::ZeroDimension`] if `config.dim == 0` and
+    /// [`Error::InvalidEncoderConfig`] for degenerate encoder parameters
+    /// — the same checks as [`GraphHdConfigBuilder::build`], applied
+    /// here too because the config fields are public.
+    ///
+    /// [`GraphHdConfigBuilder::build`]: crate::GraphHdConfigBuilder::build
     pub fn new(config: GraphHdConfig) -> Result<Self, Error> {
+        config.validate()?;
+        let levels = match config.encoder {
+            EncoderKind::VertexSimilarity { levels } => Some(Arc::new(LevelMemory::new(
+                config.dim,
+                levels as usize,
+                mix_seed(config.seed, LEVEL_SEED_STREAM),
+            )?)),
+            EncoderKind::Centrality | EncoderKind::EdgeWeighted { .. } => None,
+        };
         Ok(Self {
             memory: ItemMemory::new(config.dim, config.seed)?,
-            strategy: strategy::build_strategy(&config)?,
+            levels,
             config,
             pool: PoolHandle::Global,
         })
@@ -105,33 +130,37 @@ impl GraphEncoder {
         &self.memory
     }
 
-    /// The encoding strategy built from the config's [`EncoderKind`].
-    #[must_use]
-    pub fn strategy(&self) -> &dyn GraphEncodingStrategy {
-        self.strategy.as_ref()
-    }
-
-    /// The strategy kind (including its parameters) this encoder runs.
-    #[must_use]
-    pub fn kind(&self) -> EncoderKind {
-        self.strategy.kind()
-    }
-
     /// Computes the *centrality* vertex identifiers (ranks) of a graph.
     ///
     /// Rank 0 is the most central vertex; ties are broken by vertex id,
     /// the deterministic convention adopted suite-wide. This ranking is
-    /// always the centrality one, independent of the encoder strategy —
-    /// it backs the strategy-agnostic [`labeled`](crate::labeled)
-    /// extension and the centrality ablations.
+    /// the centrality one whatever the encoder kind — the centrality and
+    /// edge-weighted kinds encode with it, and it backs the
+    /// kind-agnostic [`labeled`](crate::labeled) extension and the
+    /// centrality ablations.
     #[must_use]
     pub fn vertex_ranks(&self, graph: &Graph) -> Vec<u32> {
-        strategy::centrality_ranks(graph, &self.config)
+        match self.config.centrality {
+            CentralityKind::PageRank => pagerank_ranks(graph, &self.config.pagerank),
+            CentralityKind::Degree => ranks_by_score(&degree_centrality(graph)),
+            CentralityKind::VertexId => (0..graph.vertex_count() as u32).collect(),
+        }
     }
 
     /// Encodes a graph into the edge-bundle accumulator (exposed so that
     /// callers needing raw counts — e.g. soft-similarity ablations — avoid
-    /// re-encoding). Delegates to the configured strategy.
+    /// re-encoding), with the recipe of the config's [`EncoderKind`]:
+    ///
+    /// - **centrality** — vertex hypervector `H_rank(rank)` from the
+    ///   centrality ranking, one vote per edge;
+    /// - **vertex similarity** — vertices ranked by neighborhood
+    ///   similarity, vertex hypervector `H_rank(rank) ⊗
+    ///   H_level(quantize(score))`, and each edge binds its lower-ranked
+    ///   endpoint with a one-step permutation of the higher-ranked one
+    ///   (without it, endpoints on the same level would cancel their
+    ///   level components, since `x ⊗ x` is the identity);
+    /// - **edge weighted** — centrality vertex hypervectors, each edge
+    ///   voting `1 + min(common_neighbors, weight_cap − 1)` times.
     ///
     /// An edgeless graph yields an empty accumulator; [`encode`]
     /// thresholds it to the deterministic tie-break pattern, so all
@@ -140,7 +169,97 @@ impl GraphEncoder {
     /// [`encode`]: Self::encode
     #[must_use]
     pub fn encode_to_accumulator(&self, graph: &Graph) -> Accumulator {
-        self.strategy.encode_to_accumulator(graph)
+        match self.config.encoder {
+            EncoderKind::Centrality => {
+                let ranks = self.vertex_ranks(graph);
+                self.bundle_edges(graph, |v| self.rank_hypervector(ranks[v]), None, None)
+            }
+            EncoderKind::EdgeWeighted { weight_cap } => {
+                let ranks = self.vertex_ranks(graph);
+                self.bundle_edges(
+                    graph,
+                    |v| self.rank_hypervector(ranks[v]),
+                    None,
+                    Some(weight_cap),
+                )
+            }
+            EncoderKind::VertexSimilarity { .. } => {
+                let levels = self
+                    .levels
+                    .as_deref()
+                    .expect("level memory built at construction for vertex similarity");
+                let scores = similarity::neighborhood_similarity(graph);
+                let ranks = ranks_by_score(&scores);
+                let vertex = |v: usize| {
+                    let mut hv = self.rank_hypervector(ranks[v]);
+                    hv.bind_assign(levels.hypervector(levels.quantize(scores[v])));
+                    hv
+                };
+                self.bundle_edges(graph, vertex, Some(&ranks), None)
+            }
+        }
+    }
+
+    /// The basis hypervector of a vertex rank.
+    pub(crate) fn rank_hypervector(&self, rank: u32) -> Hypervector {
+        self.memory.hypervector(u64::from(rank))
+    }
+
+    /// The one edge-bundling loop behind every encoder kind.
+    ///
+    /// `vertex` supplies each vertex's hypervector; it is called at most
+    /// once per vertex and role, and cached for the rest of the graph.
+    /// With `orient_by` ranks, each edge binds its lower-ranked endpoint
+    /// with a one-step permutation of the higher-ranked one (rank order,
+    /// unlike vertex id, is topology-derived, so the encoding stays
+    /// isomorphism-invariant); without, the bind is symmetric. With a
+    /// `weight_cap`, each edge adds `1 + min(common_neighbors,
+    /// weight_cap − 1)` votes instead of one.
+    ///
+    /// Bundling uses bit-sliced vertical counters (amortized ~2 word-ops
+    /// per edge per word) instead of d integer adds — the "binarized
+    /// bundling" optimization of Schmuck et al. that the paper cites; the
+    /// result is bit-identical to integer accumulation.
+    pub(crate) fn bundle_edges(
+        &self,
+        graph: &Graph,
+        vertex: impl Fn(usize) -> Hypervector,
+        orient_by: Option<&[u32]>,
+        weight_cap: Option<u32>,
+    ) -> Accumulator {
+        let dim = self.config.dim;
+        let n = graph.vertex_count();
+        let mut acc = BitSliceAccumulator::new(dim).expect("dimension validated at construction");
+        let mut cache: Vec<Option<Hypervector>> = vec![None; n];
+        // The higher-ranked role of an oriented edge needs the permuted
+        // vertex hypervector; a vertex can play both roles.
+        let mut permuted: Vec<Option<Hypervector>> = match orient_by {
+            Some(_) => vec![None; n],
+            None => Vec::new(),
+        };
+        let mut edge = Hypervector::positive(dim).expect("dimension validated at construction");
+        for (u, v) in graph.edges() {
+            let (a, b) = (u as usize, v as usize);
+            match orient_by {
+                None => {
+                    edge.clone_from(cache[a].get_or_insert_with(|| vertex(a)));
+                    edge.bind_assign(cache[b].get_or_insert_with(|| vertex(b)));
+                }
+                Some(ranks) => {
+                    // Ranks are a permutation, so the order is strict.
+                    let (lo, hi) = if ranks[a] < ranks[b] { (a, b) } else { (b, a) };
+                    edge.clone_from(cache[lo].get_or_insert_with(|| vertex(lo)));
+                    edge.bind_assign(permuted[hi].get_or_insert_with(|| vertex(hi).permute(1)));
+                }
+            }
+            let votes = weight_cap.map_or(1, |cap| {
+                1 + graph.common_neighbors(u, v).min(cap as usize - 1)
+            });
+            for _ in 0..votes {
+                acc.add(&edge);
+            }
+        }
+        acc.to_accumulator()
     }
 
     /// Encodes a graph into its bipolar graph hypervector — the `Enc_G`
@@ -330,9 +449,8 @@ mod tests {
                     .expect("valid config"),
             )
             .expect("valid config");
-            assert_eq!(e.kind(), kind);
-            assert_eq!(e.strategy().name(), kind.name());
-            // encode/encode_all route through the strategy consistently.
+            assert_eq!(e.config().encoder, kind);
+            // encode/encode_all route through the kind consistently.
             let batch = e.encode_all(&graphs);
             let sequential: Vec<_> = graphs.iter().map(|g| e.encode(g)).collect();
             assert_eq!(batch, sequential, "{kind:?}");
@@ -371,6 +489,112 @@ mod tests {
             })
             .expect("valid config");
             assert_eq!(e.vertex_ranks(&g)[0], 0);
+        }
+    }
+
+    fn encoder_with(kind: EncoderKind, dim: usize) -> GraphEncoder {
+        GraphEncoder::new(
+            GraphHdConfig::builder()
+                .dim(dim)
+                .with_encoder(kind)
+                .build()
+                .expect("valid config"),
+        )
+        .expect("valid config")
+    }
+
+    fn all_kinds() -> [EncoderKind; 3] {
+        [
+            EncoderKind::Centrality,
+            EncoderKind::vertex_similarity(),
+            EncoderKind::edge_weighted(),
+        ]
+    }
+
+    #[test]
+    fn rejects_similarity_levels_beyond_half_the_dimension() {
+        // The config fields are public, so `new` repeats the builder's
+        // checks instead of allocating a level per requested level.
+        let config = GraphHdConfig {
+            encoder: EncoderKind::VertexSimilarity { levels: u32::MAX },
+            ..GraphHdConfig::builder()
+                .dim(64)
+                .build()
+                .expect("valid dimension")
+        };
+        assert!(matches!(
+            GraphEncoder::new(config).unwrap_err(),
+            Error::InvalidEncoderConfig { .. }
+        ));
+    }
+
+    #[test]
+    fn every_kind_is_deterministic() {
+        let g = generate::complete(9);
+        for kind in all_kinds() {
+            let a = encoder_with(kind, 1024);
+            let b = encoder_with(kind, 1024);
+            assert_eq!(
+                a.encode_to_accumulator(&g).counts(),
+                b.encode_to_accumulator(&g).counts(),
+                "{kind:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn kinds_disagree_with_each_other() {
+        // The three recipes are genuinely different encoders: on a graph
+        // with non-trivial clustering their accumulators differ.
+        let g = generate::complete(8);
+        let accs: Vec<Accumulator> = all_kinds()
+            .iter()
+            .map(|&k| encoder_with(k, 2048).encode_to_accumulator(&g))
+            .collect();
+        assert_ne!(accs[0].counts(), accs[1].counts());
+        assert_ne!(accs[0].counts(), accs[2].counts());
+        assert_ne!(accs[1].counts(), accs[2].counts());
+    }
+
+    #[test]
+    fn edge_weighted_with_unit_cap_matches_centrality_bitwise() {
+        // cap = 1 forces every weight to 1, which must reproduce the
+        // unweighted centrality bundle exactly (same ranks, same basis).
+        for g in [generate::complete(9), generate::star(12), generate::path(7)] {
+            let unweighted = encoder_with(EncoderKind::Centrality, 512).encode_to_accumulator(&g);
+            let capped = encoder_with(EncoderKind::EdgeWeighted { weight_cap: 1 }, 512)
+                .encode_to_accumulator(&g);
+            assert_eq!(unweighted.counts(), capped.counts());
+            assert_eq!(unweighted.added(), capped.added());
+        }
+    }
+
+    #[test]
+    fn edge_weighted_boosts_triangle_edges() {
+        // K4 has common neighbors on every edge; the weighted bundle
+        // must count more votes than edges.
+        let e = encoder_with(EncoderKind::edge_weighted(), 256);
+        let g = generate::complete(4);
+        assert!(e.encode_to_accumulator(&g).added() > g.edge_count() as u64);
+        // A triangle-free star gets no boost.
+        assert_eq!(e.encode_to_accumulator(&generate::star(6)).added(), 5);
+    }
+
+    #[test]
+    fn vertex_similarity_distinguishes_clustering_patterns() {
+        // Complete vs path: wildly different similarity profiles.
+        let e = encoder_with(EncoderKind::vertex_similarity(), 10_000);
+        let a = e.encode(&generate::complete(10));
+        let b = e.encode(&generate::path(10));
+        assert!(a.cosine(&b) < 0.6, "cosine {}", a.cosine(&b));
+    }
+
+    #[test]
+    fn edgeless_graphs_yield_empty_accumulators_under_every_kind() {
+        for kind in all_kinds() {
+            assert!(encoder_with(kind, 128)
+                .encode_to_accumulator(&graphcore::Graph::empty(4))
+                .is_empty());
         }
     }
 }

@@ -14,7 +14,7 @@
 
 use crate::{Error, GraphEncoder, GraphHdConfig};
 use graphcore::Graph;
-use hdvec::{BitSliceAccumulator, Hypervector, ItemMemory};
+use hdvec::{Hypervector, ItemMemory};
 use prng::mix_seed;
 
 /// Encoder combining centrality ranks with vertex labels.
@@ -97,28 +97,16 @@ impl LabeledGraphEncoder {
                 labels: labels.len(),
             });
         }
-        let config = self.inner.config();
         let ranks = self.inner.vertex_ranks(graph);
-        // Same fast path as the structural encoder: bit-sliced bundling
-        // and a reused edge buffer instead of per-edge allocations.
-        let mut acc =
-            BitSliceAccumulator::new(config.dim).expect("dimension validated at construction");
-        let mut cache: Vec<Option<Hypervector>> = vec![None; graph.vertex_count()];
-        let mut edge = Hypervector::positive(config.dim).expect("dimension validated");
-        for (u, v) in graph.edges() {
-            let (u, v) = (u as usize, v as usize);
-            for w in [u, v] {
-                if cache[w].is_none() {
-                    let rank_hv = self.inner.memory().hypervector(u64::from(ranks[w]));
-                    let label_hv = self.label_memory.hypervector(u64::from(labels[w]));
-                    cache[w] = Some(rank_hv.bind(&label_hv));
-                }
-            }
-            edge.clone_from(cache[u].as_ref().expect("filled above"));
-            edge.bind_assign(cache[v].as_ref().expect("filled above"));
-            acc.add(&edge);
-        }
-        Ok(acc.to_accumulator().to_hypervector(config.tie_break))
+        let vertex = |v: usize| {
+            let mut hv = self.inner.rank_hypervector(ranks[v]);
+            hv.bind_assign(&self.label_memory.hypervector(u64::from(labels[v])));
+            hv
+        };
+        Ok(self
+            .inner
+            .bundle_edges(graph, vertex, None, None)
+            .to_hypervector(self.inner.config().tie_break))
     }
 }
 

@@ -22,12 +22,13 @@
 //! directions (Section VII): [`retrain`](model::GraphHdModel::retrain)ing,
 //! [`prototypes`] (multiple class-vectors per class), and
 //! [`labeled`] (vertex-label-aware encoding), plus [`noise`] utilities
-//! backing the robustness claims of Sections I–II. The encoding stage
-//! itself is pluggable: [`strategy`] defines the
-//! [`GraphEncodingStrategy`] trait with the paper's centrality recipe
-//! plus VS-Graph-style vertex-similarity and CiliaGraph-style
-//! edge-weighted alternatives, selected via
-//! [`EncoderKind`] on the config builder.
+//! backing the robustness claims of Sections I–II. The encoding recipe
+//! is selected by [`EncoderKind`] on the config builder: the paper's
+//! centrality recipe, or the VS-Graph-style vertex-similarity and
+//! CiliaGraph-style edge-weighted variants. [`GraphEncoder`] matches on
+//! the kind and runs every variant through one edge-bundling loop; the
+//! kinds differ only in the vertex hypervector, the orientation of the
+//! edge bind, and the edge's vote weight.
 //!
 //! # Examples
 //!
@@ -76,4 +77,4 @@ pub use encoder::GraphEncoder;
 pub use error::{Error, SnapshotError};
 pub use model::{GraphHdModel, RetrainReport};
 pub use snapshot::{SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
-pub use strategy::{EncoderKind, GraphEncodingStrategy};
+pub use strategy::EncoderKind;

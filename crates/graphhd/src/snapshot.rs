@@ -454,9 +454,15 @@ impl GraphHdModel {
                 iterations,
             })
             .build()
-            // The encoder fields were validated above, so the only
-            // builder failure left is a zero dimension.
-            .map_err(|_| Error::Snapshot(SnapshotError::Corrupt { what: "dimension" }))?;
+            // The encoder fields passed their own checks above, but the
+            // builder also bounds the similarity depth by the dimension.
+            .map_err(|e| {
+                let what = match e {
+                    Error::InvalidEncoderConfig { .. } => "encoder fields",
+                    _ => "dimension",
+                };
+                Error::Snapshot(SnapshotError::Corrupt { what })
+            })?;
 
         let words_per_vector = dim.div_ceil(64);
         // The declared payload size must be computable without overflow:
@@ -752,6 +758,42 @@ mod tests {
         bytes[63..71].copy_from_slice(&(1u64 << 40).to_le_bytes());
         let err = GraphHdModel::load_from(&mut bytes.as_slice()).unwrap_err();
         assert_eq!(err, Error::Snapshot(SnapshotError::Truncated));
+    }
+
+    #[test]
+    fn forged_similarity_depth_is_corrupt_not_an_allocation_abort() {
+        // A complete 79-byte v2 snapshot built by hand: dim 64, one class,
+        // and the vertex-similarity encoder with levels = u32::MAX. The
+        // level memory holds every level, so accepting this header would
+        // ask the allocator for 2^32 hypervectors and abort the process.
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(&SNAPSHOT_MAGIC);
+        bytes.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+        bytes.extend_from_slice(&64u64.to_le_bytes()); // dim
+        bytes.extend_from_slice(&7u64.to_le_bytes()); // item-memory seed
+        bytes.push(0); // PageRank centrality
+        bytes.push(0); // TieBreak::Positive
+        bytes.extend_from_slice(&0u64.to_le_bytes()); // tie-break seed
+        bytes.extend_from_slice(&10u64.to_le_bytes()); // pagerank iterations
+        bytes.extend_from_slice(&0.85f64.to_bits().to_le_bytes());
+        bytes.push(1); // VertexSimilarity
+        bytes.extend_from_slice(&u64::from(u32::MAX).to_le_bytes()); // levels
+        bytes.extend_from_slice(&1u64.to_le_bytes()); // num_classes
+        bytes.extend_from_slice(&0u64.to_le_bytes()); // the one class vector
+        assert_eq!(bytes.len(), 79);
+        assert_eq!(
+            GraphHdModel::load_from(&mut bytes.as_slice()).unwrap_err(),
+            Error::Snapshot(SnapshotError::Corrupt {
+                what: "encoder fields"
+            })
+        );
+        // The largest depth the dimension supports still loads.
+        bytes[55..63].copy_from_slice(&33u64.to_le_bytes());
+        let model = GraphHdModel::load_from(&mut bytes.as_slice()).expect("valid snapshot");
+        assert_eq!(
+            model.encoder().config().encoder,
+            EncoderKind::VertexSimilarity { levels: 33 }
+        );
     }
 
     #[test]

@@ -1,34 +1,21 @@
-//! Pluggable graph-encoding strategies.
+//! The encoder kinds: which variant of the GraphHD recipe a config
+//! selects.
 //!
 //! GraphHD fixes one encoding recipe — PageRank-ranked vertex
 //! identifiers, edges bind their endpoints, edge hypervectors bundle into
-//! the graph hypervector. The follow-up literature varies exactly one
-//! stage of that recipe while keeping the bind/permute/bundle substrate:
-//! VS-Graph swaps the centrality ranking for *vertex similarity*
-//! features, and CiliaGraph weights each edge's contribution to the
-//! bundle. This module factors the recipe behind the object-safe
-//! [`GraphEncodingStrategy`] trait so all three variants plug into the
-//! same models, classifiers, serving engine and snapshots, selected by
-//! [`EncoderKind`] on [`GraphHdConfig`].
-//!
-//! Every strategy is seed-deterministic (a pure function of the config
-//! and the graph, bit-reproducible across machines) and parallel-safe
-//! (`Send + Sync`, no interior mutability), which is what lets
-//! [`GraphEncoder::encode_all`](crate::GraphEncoder::encode_all) fan a
-//! batch across the pool without changing results.
+//! the graph hypervector. The follow-up literature varies one input of
+//! that recipe while keeping the bind/permute/bundle substrate: VS-Graph
+//! changes the vertex hypervector (similarity rank bound with a
+//! similarity level), and CiliaGraph weights each edge's vote in the
+//! bundle. [`EncoderKind`] is the closed selection among those variants;
+//! [`GraphEncoder`](crate::GraphEncoder) matches on it inside its one
+//! edge-bundling loop, and snapshots record it as a tag plus one
+//! parameter.
 
-use crate::{CentralityKind, Error, GraphHdConfig};
-use graphcore::{degree_centrality, pagerank_ranks, ranks_by_score, similarity, Graph};
-use hdvec::{Accumulator, BitSliceAccumulator, Hypervector, ItemMemory, LevelMemory};
-use prng::mix_seed;
-use std::sync::Arc;
+use crate::Error;
 
-/// Seed stream for the level memory of the vertex-similarity strategy,
-/// independent from the basis item memory (which uses the config seed
-/// directly) and from the label memory of [`crate::labeled`].
-const LEVEL_SEED_STREAM: u64 = 0x1E_5E1;
-
-/// Which encoding strategy a [`GraphHdConfig`] selects.
+/// Which encoding strategy a [`GraphHdConfig`](crate::GraphHdConfig)
+/// selects.
 ///
 /// Strategy-specific parameters ride inline so the config stays `Copy`
 /// and a snapshot header can record the full encoder identity in two
@@ -67,7 +54,8 @@ pub enum EncoderKind {
     /// hypervector of its similarity score, so structurally similar
     /// vertices share correlated encodings.
     VertexSimilarity {
-        /// Quantization depth of the similarity axis (≥ 2).
+        /// Quantization depth of the similarity axis (≥ 2, and at most
+        /// `dim / 2 + 1`: past that, consecutive levels are identical).
         levels: u32,
     },
     /// CiliaGraph-style encoding: centrality-ranked identifiers, but
@@ -141,261 +129,9 @@ impl EncoderKind {
     }
 }
 
-/// A graph-encoding strategy: the pluggable stage of the GraphHD
-/// pipeline.
-///
-/// Implementations must be **seed-deterministic** — the accumulator is a
-/// pure function of the construction config and the graph, so equal
-/// configs agree bit-for-bit across processes and machines — and
-/// **parallel-safe** (`Send + Sync`, `&self` encoding), so one strategy
-/// instance serves every pool thread concurrently. The trait is
-/// object-safe: [`GraphEncoder`](crate::GraphEncoder) holds an
-/// `Arc<dyn GraphEncodingStrategy>` chosen from the config at
-/// construction.
-pub trait GraphEncodingStrategy: std::fmt::Debug + Send + Sync {
-    /// The [`EncoderKind`] this strategy was built from (including its
-    /// parameters — this is what snapshots record).
-    fn kind(&self) -> EncoderKind;
-
-    /// Human-readable strategy name for experiment tables.
-    fn name(&self) -> &'static str {
-        // Delegating through `kind` keeps the two views consistent.
-        self.kind().name()
-    }
-
-    /// Encodes a graph into the edge-bundle accumulator. An edgeless
-    /// graph yields an empty accumulator.
-    fn encode_to_accumulator(&self, graph: &Graph) -> Accumulator;
-}
-
-/// Builds the strategy a config selects (validating its parameters).
-pub(crate) fn build_strategy(
-    config: &GraphHdConfig,
-) -> Result<Arc<dyn GraphEncodingStrategy>, Error> {
-    config.encoder.validate()?;
-    Ok(match config.encoder {
-        EncoderKind::Centrality => Arc::new(CentralityStrategy::new(*config)?),
-        EncoderKind::VertexSimilarity { levels } => {
-            Arc::new(VertexSimilarityStrategy::new(*config, levels)?)
-        }
-        EncoderKind::EdgeWeighted { weight_cap } => {
-            Arc::new(EdgeWeightedStrategy::new(*config, weight_cap)?)
-        }
-    })
-}
-
-/// The centrality ranking shared by the centrality and edge-weighted
-/// strategies (and by [`crate::labeled`], which stays rank-based).
-pub(crate) fn centrality_ranks(graph: &Graph, config: &GraphHdConfig) -> Vec<u32> {
-    match config.centrality {
-        CentralityKind::PageRank => pagerank_ranks(graph, &config.pagerank),
-        CentralityKind::Degree => ranks_by_score(&degree_centrality(graph)),
-        CentralityKind::VertexId => (0..graph.vertex_count() as u32).collect(),
-    }
-}
-
-/// The paper's GraphHD encoder, extracted verbatim from the pre-strategy
-/// `GraphEncoder::encode_to_accumulator` (the bit-identity is
-/// property-tested against a re-derived reference in
-/// `tests/encoder_strategies.rs`).
-#[derive(Debug)]
-struct CentralityStrategy {
-    config: GraphHdConfig,
-    memory: ItemMemory,
-}
-
-impl CentralityStrategy {
-    fn new(config: GraphHdConfig) -> Result<Self, Error> {
-        Ok(Self {
-            memory: ItemMemory::new(config.dim, config.seed)?,
-            config,
-        })
-    }
-}
-
-impl GraphEncodingStrategy for CentralityStrategy {
-    fn kind(&self) -> EncoderKind {
-        EncoderKind::Centrality
-    }
-
-    fn encode_to_accumulator(&self, graph: &Graph) -> Accumulator {
-        // Bundle edge hypervectors with bit-sliced vertical counters
-        // (amortized ~2 word-ops per edge per word) instead of d integer
-        // adds — the "binarized bundling" optimization of Schmuck et al.
-        // that the paper cites; the result is bit-identical to the naive
-        // accumulation (property-tested in tests/properties.rs).
-        let ranks = centrality_ranks(graph, &self.config);
-        let mut acc =
-            BitSliceAccumulator::new(self.config.dim).expect("dimension validated at construction");
-        // Per-graph cache: rank r's basis hypervector is reused by every
-        // edge incident to the vertex of rank r.
-        let mut cache: Vec<Option<Hypervector>> = vec![None; graph.vertex_count()];
-        let mut edge =
-            Hypervector::positive(self.config.dim).expect("dimension validated at construction");
-        for (u, v) in graph.edges() {
-            let (u, v) = (u as usize, v as usize);
-            if cache[u].is_none() {
-                cache[u] = Some(self.memory.hypervector(u64::from(ranks[u])));
-            }
-            if cache[v].is_none() {
-                cache[v] = Some(self.memory.hypervector(u64::from(ranks[v])));
-            }
-            edge.clone_from(cache[u].as_ref().expect("filled above"));
-            edge.bind_assign(cache[v].as_ref().expect("filled above"));
-            acc.add(&edge);
-        }
-        acc.to_accumulator()
-    }
-}
-
-/// VS-Graph-style vertex-similarity encoder.
-///
-/// Vertex identity comes from the *similarity ranking* (most clustered
-/// vertex is rank 0), and is bound with a level hypervector of the
-/// quantized similarity score, so vertices with close scores share
-/// correlated level components across graphs. Edges bind the
-/// lower-ranked endpoint with a one-step permutation of the
-/// higher-ranked one: without the permutation, two endpoints on the same
-/// quantization level would cancel their level components under binding
-/// (`x ⊗ x` is the identity) and regular graphs would collapse back to
-/// the plain rank encoding. Rank order is topology-derived, so the
-/// directed binding stays isomorphism-invariant.
-#[derive(Debug)]
-struct VertexSimilarityStrategy {
-    config: GraphHdConfig,
-    memory: ItemMemory,
-    levels: LevelMemory,
-}
-
-impl VertexSimilarityStrategy {
-    fn new(config: GraphHdConfig, levels: u32) -> Result<Self, Error> {
-        Ok(Self {
-            memory: ItemMemory::new(config.dim, config.seed)?,
-            levels: LevelMemory::new(
-                config.dim,
-                levels as usize,
-                mix_seed(config.seed, LEVEL_SEED_STREAM),
-            )?,
-            config,
-        })
-    }
-
-    /// `H_rank(rank) ⊗ H_level(quantize(score))` — identity by
-    /// similarity rank, correlation by similarity magnitude.
-    fn node_hypervector(&self, rank: u32, score: f64) -> Hypervector {
-        let mut hv = self.memory.hypervector(u64::from(rank));
-        hv.bind_assign(self.levels.hypervector(self.levels.quantize(score)));
-        hv
-    }
-}
-
-impl GraphEncodingStrategy for VertexSimilarityStrategy {
-    fn kind(&self) -> EncoderKind {
-        EncoderKind::VertexSimilarity {
-            levels: self.levels.levels() as u32,
-        }
-    }
-
-    fn encode_to_accumulator(&self, graph: &Graph) -> Accumulator {
-        let scores = similarity::neighborhood_similarity(graph);
-        let ranks = ranks_by_score(&scores);
-        let mut acc =
-            BitSliceAccumulator::new(self.config.dim).expect("dimension validated at construction");
-        // Two caches per vertex: the node hypervector for its role as the
-        // lower-ranked endpoint, and its one-step permutation for the
-        // higher-ranked role.
-        let mut cache: Vec<Option<Hypervector>> = vec![None; graph.vertex_count()];
-        let mut permuted: Vec<Option<Hypervector>> = vec![None; graph.vertex_count()];
-        let mut edge =
-            Hypervector::positive(self.config.dim).expect("dimension validated at construction");
-        for (u, v) in graph.edges() {
-            let (u, v) = (u as usize, v as usize);
-            // Ranks are a permutation, so the order is strict; rank order
-            // (not vertex id) keeps the edge orientation topology-derived.
-            let (lo, hi) = if ranks[u] < ranks[v] { (u, v) } else { (v, u) };
-            if cache[lo].is_none() {
-                cache[lo] = Some(self.node_hypervector(ranks[lo], scores[lo]));
-            }
-            if permuted[hi].is_none() {
-                permuted[hi] = Some(self.node_hypervector(ranks[hi], scores[hi]).permute(1));
-            }
-            edge.clone_from(cache[lo].as_ref().expect("filled above"));
-            edge.bind_assign(permuted[hi].as_ref().expect("filled above"));
-            acc.add(&edge);
-        }
-        acc.to_accumulator()
-    }
-}
-
-/// CiliaGraph-style edge-weighted encoder.
-///
-/// Vertex identity is the same centrality ranking as the baseline, but
-/// each edge enters the bundle with weight `1 + min(common_neighbors,
-/// cap − 1)`: edges closing many triangles carry proportionally more
-/// majority-vote evidence. Weighted bundling needs the integer
-/// [`Accumulator`] directly (the bit-sliced counters only add ±1), so
-/// this strategy trades the bit-slice speedup for the weighted vote.
-#[derive(Debug)]
-struct EdgeWeightedStrategy {
-    config: GraphHdConfig,
-    memory: ItemMemory,
-    weight_cap: u32,
-}
-
-impl EdgeWeightedStrategy {
-    fn new(config: GraphHdConfig, weight_cap: u32) -> Result<Self, Error> {
-        Ok(Self {
-            memory: ItemMemory::new(config.dim, config.seed)?,
-            config,
-            weight_cap,
-        })
-    }
-}
-
-impl GraphEncodingStrategy for EdgeWeightedStrategy {
-    fn kind(&self) -> EncoderKind {
-        EncoderKind::EdgeWeighted {
-            weight_cap: self.weight_cap,
-        }
-    }
-
-    fn encode_to_accumulator(&self, graph: &Graph) -> Accumulator {
-        let ranks = centrality_ranks(graph, &self.config);
-        let mut acc =
-            Accumulator::new(self.config.dim).expect("dimension validated at construction");
-        let mut cache: Vec<Option<Hypervector>> = vec![None; graph.vertex_count()];
-        let mut edge =
-            Hypervector::positive(self.config.dim).expect("dimension validated at construction");
-        for (u, v) in graph.edges() {
-            let support = graph.common_neighbors(u, v);
-            let (u, v) = (u as usize, v as usize);
-            if cache[u].is_none() {
-                cache[u] = Some(self.memory.hypervector(u64::from(ranks[u])));
-            }
-            if cache[v].is_none() {
-                cache[v] = Some(self.memory.hypervector(u64::from(ranks[v])));
-            }
-            edge.clone_from(cache[u].as_ref().expect("filled above"));
-            edge.bind_assign(cache[v].as_ref().expect("filled above"));
-            let weight = 1 + support.min(self.weight_cap as usize - 1);
-            acc.add_weighted(&edge, weight as i32);
-        }
-        acc
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use graphcore::generate;
-
-    fn config_with(kind: EncoderKind, dim: usize) -> GraphHdConfig {
-        GraphHdConfig::builder()
-            .dim(dim)
-            .with_encoder(kind)
-            .build()
-            .expect("valid config")
-    }
 
     fn all_kinds() -> [EncoderKind; 3] {
         [
@@ -431,107 +167,6 @@ mod tests {
         );
         for kind in all_kinds() {
             assert!(kind.validate().is_ok(), "{kind:?}");
-        }
-    }
-
-    #[test]
-    fn strategies_report_their_kind_and_name() {
-        for kind in all_kinds() {
-            let strategy = build_strategy(&config_with(kind, 256)).expect("valid");
-            assert_eq!(strategy.kind(), kind);
-            assert_eq!(strategy.name(), kind.name());
-        }
-    }
-
-    #[test]
-    fn every_strategy_is_deterministic() {
-        let g = generate::complete(9);
-        for kind in all_kinds() {
-            let config = config_with(kind, 1024);
-            let a = build_strategy(&config).expect("valid");
-            let b = build_strategy(&config).expect("valid");
-            assert_eq!(
-                a.encode_to_accumulator(&g).counts(),
-                b.encode_to_accumulator(&g).counts(),
-                "{kind:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn strategies_disagree_with_each_other() {
-        // The three recipes are genuinely different encoders: on a graph
-        // with non-trivial clustering their accumulators differ.
-        let g = generate::complete(8);
-        let accs: Vec<Accumulator> = all_kinds()
-            .iter()
-            .map(|&k| {
-                build_strategy(&config_with(k, 2048))
-                    .expect("valid")
-                    .encode_to_accumulator(&g)
-            })
-            .collect();
-        assert_ne!(accs[0].counts(), accs[1].counts());
-        assert_ne!(accs[0].counts(), accs[2].counts());
-        assert_ne!(accs[1].counts(), accs[2].counts());
-    }
-
-    #[test]
-    fn edge_weighted_with_unit_cap_matches_centrality_bitwise() {
-        // cap = 1 forces every weight to 1, which must reproduce the
-        // unweighted centrality bundle exactly (same ranks, same basis).
-        for g in [generate::complete(9), generate::star(12), generate::path(7)] {
-            let unweighted = build_strategy(&config_with(EncoderKind::Centrality, 512))
-                .expect("valid")
-                .encode_to_accumulator(&g);
-            let capped = build_strategy(&config_with(
-                EncoderKind::EdgeWeighted { weight_cap: 1 },
-                512,
-            ))
-            .expect("valid")
-            .encode_to_accumulator(&g);
-            assert_eq!(unweighted.counts(), capped.counts());
-            assert_eq!(unweighted.added(), capped.added());
-        }
-    }
-
-    #[test]
-    fn edge_weighted_boosts_triangle_edges() {
-        // K4 has common neighbors on every edge; the weighted bundle
-        // must count more votes than edges.
-        let g = generate::complete(4);
-        let acc = build_strategy(&config_with(EncoderKind::edge_weighted(), 256))
-            .expect("valid")
-            .encode_to_accumulator(&g);
-        assert!(acc.added() > g.edge_count() as u64);
-        // A triangle-free star gets no boost.
-        let star = build_strategy(&config_with(EncoderKind::edge_weighted(), 256))
-            .expect("valid")
-            .encode_to_accumulator(&generate::star(6));
-        assert_eq!(star.added(), 5);
-    }
-
-    #[test]
-    fn vertex_similarity_distinguishes_clustering_patterns() {
-        // Complete vs path: wildly different similarity profiles.
-        let config = config_with(EncoderKind::vertex_similarity(), 10_000);
-        let strategy = build_strategy(&config).expect("valid");
-        let a = strategy
-            .encode_to_accumulator(&generate::complete(10))
-            .to_hypervector(config.tie_break);
-        let b = strategy
-            .encode_to_accumulator(&generate::path(10))
-            .to_hypervector(config.tie_break);
-        assert!(a.cosine(&b) < 0.6, "cosine {}", a.cosine(&b));
-    }
-
-    #[test]
-    fn edgeless_graphs_yield_empty_accumulators_under_every_strategy() {
-        for kind in all_kinds() {
-            let strategy = build_strategy(&config_with(kind, 128)).expect("valid");
-            assert!(strategy
-                .encode_to_accumulator(&graphcore::Graph::empty(4))
-                .is_empty());
         }
     }
 }
