@@ -19,7 +19,17 @@
 use engine::{Engine, EngineStats};
 use graphcore::Graph;
 use graphhd::Error;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
+
+/// Serializes every test in this file. A fault plan armed by one test
+/// is process-wide, so without this another test's set-up (a clean
+/// save, a fit, a server start) or verification could run under it.
+/// Poison-tolerant: one failed test must not fail the rest.
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn workload() -> (Vec<Graph>, Vec<u32>) {
     let mut graphs = Vec::new();
@@ -89,6 +99,7 @@ fn drive(
 
 #[test]
 fn dispatcher_panics_are_supervised_and_no_submitter_is_stranded() {
+    let _serial = serial();
     let (graphs, labels) = workload();
     for seed in seeds() {
         let engine = Engine::builder()
@@ -137,6 +148,7 @@ fn dispatcher_panics_are_supervised_and_no_submitter_is_stranded() {
 
 #[test]
 fn injected_dispatch_errors_fail_batches_without_restarting() {
+    let _serial = serial();
     let (graphs, labels) = workload();
     for seed in seeds() {
         let engine = Engine::builder()
@@ -175,6 +187,7 @@ fn injected_dispatch_errors_fail_batches_without_restarting() {
 
 #[test]
 fn slow_dispatch_expires_deadlined_requests_exactly() {
+    let _serial = serial();
     let (graphs, labels) = workload();
     let engine = Engine::builder()
         .dim(256)
@@ -235,6 +248,7 @@ fn slow_dispatch_expires_deadlined_requests_exactly() {
 
 #[test]
 fn pool_region_crashes_are_contained_to_their_batch() {
+    let _serial = serial();
     let (graphs, labels) = workload();
     for seed in seeds() {
         let engine = Engine::builder()
@@ -270,6 +284,7 @@ fn pool_region_crashes_are_contained_to_their_batch() {
 
 #[test]
 fn exhausted_restart_budget_poisons_the_engine_and_fails_fast() {
+    let _serial = serial();
     let (graphs, labels) = workload();
     let engine = Engine::builder()
         .dim(256)
@@ -318,6 +333,7 @@ fn exhausted_restart_budget_poisons_the_engine_and_fails_fast() {
 
 #[test]
 fn mixed_faults_at_every_engine_fail_point_reconcile_across_seeds() {
+    let _serial = serial();
     let (graphs, labels) = workload();
     for seed in seeds() {
         let engine = Engine::builder()

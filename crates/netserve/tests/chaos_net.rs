@@ -15,8 +15,17 @@
 
 use graphcore::{generate, Graph};
 use netserve::{Client, ModelRegistry, NetError, ServerBuilder};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
+
+/// Serializes every test in this file. A fault plan armed by one test
+/// is process-wide, so without this another test's set-up (a clean
+/// save, a fit, a server start) or verification could run under it.
+/// Poison-tolerant: one failed test must not fail the rest.
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn fit_engine(seed: u64) -> engine::Engine {
     let mut rng = prng::Xoshiro256PlusPlus::seed_from_u64(seed);
@@ -154,6 +163,7 @@ fn run_scenario(point_spec: &str) {
 /// Accepted connections dropped on the floor before handshake.
 #[test]
 fn survives_accept_faults() {
+    let _serial = serial();
     run_scenario("net.accept=30%error");
 }
 
@@ -161,6 +171,7 @@ fn survives_accept_faults() {
 /// leaks.
 #[test]
 fn survives_read_faults() {
+    let _serial = serial();
     run_scenario("net.read=30%error");
 }
 
@@ -168,6 +179,7 @@ fn survives_read_faults() {
 /// connection, never a torn frame.
 #[test]
 fn survives_write_faults() {
+    let _serial = serial();
     run_scenario("net.write=30%error");
 }
 
@@ -175,11 +187,13 @@ fn survives_write_faults() {
 /// the slot, the catch contains the unwind, the acceptor keeps going.
 #[test]
 fn survives_injected_panics() {
+    let _serial = serial();
     run_scenario("net.read=20%panic");
 }
 
 /// Everything at once, the way the CI chaos matrix runs it.
 #[test]
 fn survives_combined_net_faults() {
+    let _serial = serial();
     run_scenario("net.accept=15%error;net.read=15%error;net.write=15%error");
 }

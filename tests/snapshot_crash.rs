@@ -17,7 +17,16 @@ use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+
+/// Serializes every test in this file. A fault plan armed by one test
+/// is process-wide, so without this another test's set-up (a clean
+/// save, a fit, a server start) or verification could run under it.
+/// Poison-tolerant: one failed test must not fail the rest.
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn temp_dir(tag: &str) -> PathBuf {
     static COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -81,6 +90,7 @@ fn leftover_temps(dir: &PathBuf) -> Vec<String> {
 
 #[test]
 fn a_save_killed_before_rename_preserves_the_previous_model() {
+    let _serial = serial();
     let (model_a, model_b) = two_models();
     for point in ["snapshot.write", "snapshot.rename"] {
         let dir = temp_dir("kill-error");
@@ -120,6 +130,7 @@ fn a_save_killed_before_rename_preserves_the_previous_model() {
 
 #[test]
 fn a_save_killed_by_panic_preserves_the_previous_model() {
+    let _serial = serial();
     let (model_a, model_b) = two_models();
     for point in ["snapshot.write", "snapshot.rename"] {
         let dir = temp_dir("kill-panic");
@@ -145,6 +156,7 @@ fn a_save_killed_by_panic_preserves_the_previous_model() {
 
 #[test]
 fn a_kill_loop_always_recovers_the_last_successful_save() {
+    let _serial = serial();
     let (model_a, model_b) = two_models();
     for seed in seeds() {
         let dir = temp_dir("kill-loop");
@@ -189,6 +201,7 @@ fn canonical_bytes() -> &'static [u8] {
 
 #[test]
 fn truncation_at_every_byte_offset_reports_truncated() {
+    let _serial = serial();
     let bytes = canonical_bytes();
     assert!(bytes.len() > 100, "snapshot large enough to be interesting");
     for cut in 0..bytes.len() {
@@ -205,6 +218,7 @@ fn truncation_at_every_byte_offset_reports_truncated() {
 
 #[test]
 fn extension_by_any_suffix_reports_trailing_bytes() {
+    let _serial = serial();
     let bytes = canonical_bytes();
     for extra in 1..=8usize {
         let mut extended = bytes.to_vec();
@@ -230,6 +244,7 @@ proptest! {
         offset in any::<u16>(),
         junk in prop::collection::vec(any::<u8>(), 1..32),
     ) {
+        let _serial = serial();
         let bytes = canonical_bytes();
         let cut = offset as usize % bytes.len();
         let err = GraphHdModel::load_from(&mut &bytes[..cut]).expect_err("prefix");
