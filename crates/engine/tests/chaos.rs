@@ -23,8 +23,8 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Serializes every test in this file. A fault plan armed by one test
-/// is process-wide, so without this another test's set-up (a clean
-/// save, a fit, a server start) or verification could run under it.
+/// is process-wide, so without this another test's set-up (an engine
+/// fit, a fault-free classify) or verification could run under it.
 /// Poison-tolerant: one failed test must not fail the rest.
 fn serial() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());

@@ -21,7 +21,7 @@ use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Serializes every test in this file. A fault plan armed by one test
 /// is process-wide, so without this another test's set-up (a clean
-/// save, a fit, a server start) or verification could run under it.
+/// save, a model fit) or verification could run under it.
 /// Poison-tolerant: one failed test must not fail the rest.
 fn serial() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
