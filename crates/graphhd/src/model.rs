@@ -642,6 +642,61 @@ mod tests {
     }
 
     #[test]
+    fn many_class_fit_matches_per_class_bundling_reference() {
+        // 300 classes with uneven sizes: class `c` gets `c % 5` samples
+        // (so every fifth class stays empty), interleaved across classes.
+        use hdvec::ItemMemory;
+        use parallel::Pool;
+        use std::sync::Arc;
+        let dim = 256;
+        let classes = 300usize;
+        let items = ItemMemory::new(dim, 123).expect("valid dimension");
+        let mut encodings = Vec::new();
+        let mut labels = Vec::new();
+        for round in 0..4 {
+            for class in 0..classes {
+                if round < class % 5 {
+                    encodings.push(items.hypervector(encodings.len() as u64));
+                    labels.push(class as u32);
+                }
+            }
+        }
+        let config = GraphHdConfig::builder()
+            .dim(dim)
+            .build()
+            .expect("valid dimension");
+
+        // Reference from public primitives: one accumulator per class,
+        // `add` in input order, threshold with the config's tie rule.
+        let mut reference: Vec<Accumulator> = (0..classes)
+            .map(|_| Accumulator::new(dim).expect("valid dimension"))
+            .collect();
+        for (hv, &label) in encodings.iter().zip(&labels) {
+            reference[label as usize].add(hv);
+        }
+        let reference_vectors: Vec<Hypervector> = reference
+            .iter()
+            .map(|acc| acc.to_hypervector(config.tie_break))
+            .collect();
+
+        for threads in [1usize, 2, 3, 8] {
+            let encoder = GraphEncoder::new(config)
+                .expect("valid config")
+                .with_pool(Arc::new(Pool::with_threads(threads)));
+            let model = GraphHdModel::fit_encoded(encoder, &encodings, &labels, classes);
+            assert_eq!(
+                model.class_vectors(),
+                reference_vectors.as_slice(),
+                "class vectors diverged at {threads} threads"
+            );
+            assert_eq!(
+                model.class_accumulators, reference,
+                "class accumulators diverged at {threads} threads"
+            );
+        }
+    }
+
+    #[test]
     fn speculative_retrain_matches_serial_reference() {
         use parallel::Pool;
         use std::sync::Arc;
