@@ -9,11 +9,6 @@ use parallel::Pool;
 use std::borrow::Borrow;
 use std::sync::Arc;
 
-/// Below this many samples per chunk, sharding the class accumulators
-/// costs more (one `num_classes × dim` counter block per chunk) than the
-/// parallel bundling saves.
-const FIT_MIN_CHUNK: usize = 16;
-
 /// Scoring one query against the class vectors is cheap (a few popcount
 /// sweeps), so prediction maps batch several queries per stealable unit.
 const PREDICT_MIN_CHUNK: usize = 8;
@@ -54,10 +49,10 @@ impl GraphHdModel {
     /// graph hypervectors of each class into its class vector. Accepts
     /// both `&[Graph]` and `&[&Graph]`.
     ///
-    /// Encoding and bundling run on the global pool; see
-    /// [`fit_with_encoder`](Self::fit_with_encoder) to pin a pool. The
-    /// result is bit-identical to a serial fit at every thread count
-    /// (bundling is order-independent integer addition).
+    /// Encoding runs on the global pool; see
+    /// [`fit_with_encoder`](Self::fit_with_encoder) to pin a pool.
+    /// Bundling is then one serial pass over the encodings, so the
+    /// result is bit-identical to a serial fit at every thread count.
     ///
     /// # Errors
     ///
@@ -87,8 +82,7 @@ impl GraphHdModel {
         labels: &[u32],
         num_classes: usize,
     ) -> Result<Self, Error> {
-        let encodings = Self::validate_and_encode(&encoder, graphs, labels, num_classes)?;
-        Ok(Self::fit_encoded(encoder, &encodings, labels, num_classes))
+        Self::fit_with_retraining(encoder, graphs, labels, num_classes, 0)
     }
 
     /// As [`fit_with_encoder`](Self::fit_with_encoder), followed by
@@ -108,7 +102,7 @@ impl GraphHdModel {
         num_classes: usize,
         epochs: usize,
     ) -> Result<Self, Error> {
-        Self::validate_inputs(graphs.len(), labels, num_classes)?;
+        crate::validate_fit_inputs(graphs.len(), labels, num_classes)?;
         let encodings = encoder.encode_all(graphs);
         let mut model = Self::fit_encoded(encoder, &encodings, labels, num_classes);
         if epochs > 0 {
@@ -138,32 +132,15 @@ impl GraphHdModel {
         crate::metrics::metrics().fits.inc();
         let _fit_span = crate::metrics::metrics().fit_ns.start_span();
         let dim = encoder.config().dim;
-        let fresh = || -> Vec<Accumulator> {
-            (0..num_classes)
-                .map(|_| Accumulator::new(dim).expect("validated dimension"))
-                .collect()
-        };
-        // Sharded parallel bundling: each chunk folds its samples into its
-        // own set of class accumulators, and the shards are merged with
-        // `Accumulator::merge` in chunk order. Bundling is integer
-        // addition, so the merged counters — and therefore the class
-        // vectors — are bit-identical to the serial loop at every thread
-        // count.
-        let class_accumulators = encoder.pool().par_fold_reduce(
-            encodings,
-            FIT_MIN_CHUNK,
-            fresh,
-            |mut shard, index, hv| {
-                shard[labels[index] as usize].add(hv);
-                shard
-            },
-            |mut left, right| {
-                for (acc, other) in left.iter_mut().zip(&right) {
-                    acc.merge(other);
-                }
-                left
-            },
-        );
+        // One bundle per class, filled in input order on the calling
+        // thread: serial `add` costs about a microsecond per 10k-dimension
+        // vector, far below the cost of encoding the graph behind it.
+        let mut class_accumulators: Vec<Accumulator> = (0..num_classes)
+            .map(|_| Accumulator::new(dim).expect("validated dimension"))
+            .collect();
+        for (hv, &label) in encodings.iter().zip(labels) {
+            class_accumulators[label as usize].add(hv);
+        }
         let tie = encoder.config().tie_break;
         let class_vectors: Vec<Hypervector> = class_accumulators
             .iter()
@@ -220,27 +197,6 @@ impl GraphHdModel {
     pub fn with_pool(mut self, pool: Arc<Pool>) -> Self {
         self.encoder = self.encoder.clone().with_pool(pool);
         self
-    }
-
-    /// The validation half of [`fit`](Self::fit), shared with callers
-    /// (e.g. the harness classifier) that encode themselves and go
-    /// through [`fit_encoded`](Self::fit_encoded).
-    pub(crate) fn validate_inputs(
-        graph_count: usize,
-        labels: &[u32],
-        num_classes: usize,
-    ) -> Result<(), Error> {
-        crate::validate_fit_inputs(graph_count, labels, num_classes)
-    }
-
-    fn validate_and_encode<G: Borrow<Graph> + Sync>(
-        encoder: &GraphEncoder,
-        graphs: &[G],
-        labels: &[u32],
-        num_classes: usize,
-    ) -> Result<Vec<Hypervector>, Error> {
-        Self::validate_inputs(graphs.len(), labels, num_classes)?;
-        Ok(encoder.encode_all(graphs))
     }
 
     /// The encoder (shared between training and inference, as the paper

@@ -9,7 +9,7 @@
 //! overall.
 
 use crate::select::argmax_tie_low;
-use crate::{Error, GraphClassifier, GraphEncoder, GraphHdConfig, GraphHdModel};
+use crate::{validate_fit_inputs, Error, GraphClassifier, GraphEncoder, GraphHdConfig};
 use graphcore::Graph;
 use hdvec::{Accumulator, ClassMemory, Hypervector};
 use std::borrow::Borrow;
@@ -117,7 +117,7 @@ impl MultiPrototypeModel {
         if config.max_prototypes == 0 {
             return Err(Error::ZeroPrototypes);
         }
-        GraphHdModel::validate_inputs(graphs.len(), labels, num_classes)?;
+        validate_fit_inputs(graphs.len(), labels, num_classes)?;
         let encoder = GraphEncoder::new(config.base)?;
         let tie = config.base.tie_break;
         let encodings = encoder.encode_all(graphs);

@@ -149,25 +149,6 @@ impl Accumulator {
         self.added = self.added.saturating_add_signed(i64::from(weight));
     }
 
-    /// Merges another accumulator into this one (vote-wise addition).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the dimensions differ.
-    pub fn merge(&mut self, other: &Accumulator) {
-        assert_eq!(
-            self.dim(),
-            other.dim(),
-            "cannot merge accumulators of dimensions {} and {}",
-            self.dim(),
-            other.dim()
-        );
-        for (c, o) in self.counts.iter_mut().zip(&other.counts) {
-            *c += o;
-        }
-        self.added = self.added.saturating_add(other.added);
-    }
-
     /// Clears all counters.
     pub fn reset(&mut self) {
         self.counts.fill(0);
@@ -258,25 +239,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_equals_joint_accumulation() {
-        let memory = ItemMemory::new(128, 9).unwrap();
-        let mut left = Accumulator::new(128).unwrap();
-        let mut right = Accumulator::new(128).unwrap();
-        let mut joint = Accumulator::new(128).unwrap();
-        for i in 0..4 {
-            let v = memory.hypervector(i);
-            if i % 2 == 0 {
-                left.add(&v);
-            } else {
-                right.add(&v);
-            }
-            joint.add(&v);
-        }
-        left.merge(&right);
-        assert_eq!(left, joint);
-    }
-
-    #[test]
     fn tie_break_policies_differ_only_on_ties() {
         let memory = ItemMemory::new(1000, 10).unwrap();
         let a = memory.hypervector(0);
@@ -328,16 +290,6 @@ mod tests {
         let memory = ItemMemory::new(64, 13).unwrap();
         let mut acc = Accumulator::new(128).unwrap();
         acc.add(&memory.hypervector(0));
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot merge accumulators of dimensions 128 and 64")]
-    fn merge_mismatch_reports_dimensions_in_receiver_argument_order() {
-        // Regression: the message used to print `other` before `self`,
-        // reporting the dimensions swapped relative to the call.
-        let mut acc = Accumulator::new(128).unwrap();
-        let other = Accumulator::new(64).unwrap();
-        acc.merge(&other);
     }
 
     #[test]

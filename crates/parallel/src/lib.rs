@@ -1,27 +1,26 @@
 //! **parallel** — the suite's persistent work-stealing runtime.
 //!
 //! GraphHD's pipeline is embarrassingly parallel: encodings of different
-//! graphs are independent, bundling is order-independent integer
-//! addition, Gram-matrix cells are independent, and cross-validation
-//! folds own their classifiers. Before this crate, the two places that
-//! exploited that (the batch encoder and the WL Gram matrix) each
-//! hand-rolled `std::thread::scope` with static round-robin dealing,
-//! which load-imbalances badly on skewed graph sizes. This crate replaces
-//! both with one shared substrate:
+//! graphs are independent, Gram-matrix cells are independent, and
+//! cross-validation folds own their classifiers. Before this crate, the
+//! two places that exploited that (the batch encoder and the WL Gram
+//! matrix) each hand-rolled `std::thread::scope` with static round-robin
+//! dealing, which load-imbalances badly on skewed graph sizes. This crate
+//! replaces both with one shared substrate:
 //!
 //! - [`Pool`] — a persistent pool of workers with per-worker deques and
 //!   chunked work stealing. [`Pool::with_threads`] pins an exact
 //!   parallelism degree for deterministic benchmarking;
 //!   [`Pool::global`] is the process-wide default, sized by the
 //!   `GRAPHHD_THREADS` environment variable or the machine.
-//! - [`Pool::par_for`] / [`Pool::par_map`] / [`Pool::par_fold_reduce`] /
-//!   [`Pool::par_chunks_mut`] — data-parallel operations whose results
-//!   are **bit-identical to the serial evaluation at every thread
-//!   count** (see each method's contract). Determinism is structural:
-//!   results are keyed by input index and re-assembled in input order,
-//!   and fold states are reduced in chunk order.
-//! - [`PoolHandle`] — how components (the graph encoder, the CV harness)
-//!   select between the global pool and an explicitly owned one.
+//! - [`Pool::par_map`] / [`Pool::par_chunks_mut`] — data-parallel
+//!   operations on top of the chunked [`Pool::par_for_ranges`] primitive,
+//!   whose results are **bit-identical to the serial evaluation at every
+//!   thread count** (see each method's contract). Determinism is
+//!   structural: results are keyed by input index and re-assembled in
+//!   input order.
+//! - [`PoolHandle`] — how the graph encoder selects between the global
+//!   pool and an explicitly owned one.
 //! - [`Pool::stats`] — lock-free scheduling telemetry (chunks executed,
 //!   steals, region timings, per-worker utilization), registrable into a
 //!   [`telemetry::Registry`] via [`Pool::register_metrics`].
@@ -39,14 +38,8 @@
 //!
 //! let pool = Pool::with_threads(4);
 //! let data: Vec<u64> = (0..1000).collect();
-//! let total = pool.par_fold_reduce(
-//!     &data,
-//!     1,
-//!     || 0u64,
-//!     |sum, _, &x| sum.wrapping_add(x),
-//!     |a, b| a.wrapping_add(b),
-//! );
-//! assert_eq!(total, data.iter().sum::<u64>());
+//! let squares = pool.par_map(&data, |&x| x * x);
+//! assert_eq!(squares, data.iter().map(|&x| x * x).collect::<Vec<_>>());
 //! ```
 
 // Unsafe code is allowed only in vetted leaf modules, and even

@@ -10,32 +10,7 @@ use crate::pool::Pool;
 use std::ops::Range;
 use std::sync::Mutex;
 
-/// Out-of-order chunk results, keyed by the chunk's starting index so the
-/// caller can restore input order.
-type Pieces<S> = Mutex<Vec<(usize, S)>>;
-
-fn into_ordered<S>(pieces: Pieces<S>) -> Vec<S> {
-    let mut pieces = pieces.into_inner().expect("piece lock");
-    pieces.sort_unstable_by_key(|&(start, _)| start);
-    pieces.into_iter().map(|(_, piece)| piece).collect()
-}
-
 impl Pool {
-    /// Calls `f(i)` for every `i in 0..n`, in parallel.
-    ///
-    /// `f` must tolerate concurrent invocation on distinct indices; each
-    /// index is visited exactly once.
-    pub fn par_for<F>(&self, n: usize, f: F)
-    where
-        F: Fn(usize) + Sync,
-    {
-        self.par_for_ranges(n, 1, |range| {
-            for index in range {
-                f(index);
-            }
-        });
-    }
-
     /// Maps `f` over `items`, returning results in input order — the
     /// parallel equivalent of `items.iter().map(f).collect()`.
     pub fn par_map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
@@ -55,7 +30,9 @@ impl Pool {
         R: Send,
         F: Fn(&T) -> R + Sync,
     {
-        let pieces: Pieces<Vec<R>> = Mutex::new(Vec::new());
+        // Out-of-order chunk results, keyed by the chunk's starting index
+        // so input order can be restored.
+        let pieces: Mutex<Vec<(usize, Vec<R>)>> = Mutex::new(Vec::new());
         self.par_for_ranges(items.len(), min_chunk, |range: Range<usize>| {
             let mapped: Vec<R> = items[range.clone()].iter().map(&f).collect();
             pieces
@@ -63,57 +40,13 @@ impl Pool {
                 .expect("piece lock")
                 .push((range.start, mapped));
         });
+        let mut pieces = pieces.into_inner().expect("piece lock");
+        pieces.sort_unstable_by_key(|&(start, _)| start);
         let mut result = Vec::with_capacity(items.len());
-        for mut piece in into_ordered(pieces) {
+        for (_, mut piece) in pieces {
             result.append(&mut piece);
         }
         result
-    }
-
-    /// Folds `items` into per-chunk states in parallel, then reduces the
-    /// chunk states **in chunk order** on the calling thread.
-    ///
-    /// Contract for bit-identity with the serial fold at every thread
-    /// count (and every chunking): `reduce(a, b)` must equal folding the
-    /// items behind `b` into `a` — i.e. `reduce` is the fold's
-    /// homomorphism, the usual fold/reduce pairing (integer accumulator
-    /// merges, sums, histogram additions all qualify). `fold` receives the
-    /// item's index in `items`, so zipped side-tables (e.g. labels) need
-    /// no interleaving.
-    ///
-    /// Returns `identity()` for empty input.
-    pub fn par_fold_reduce<T, S, I, F, M>(
-        &self,
-        items: &[T],
-        min_chunk: usize,
-        identity: I,
-        fold: F,
-        reduce: M,
-    ) -> S
-    where
-        T: Sync,
-        S: Send,
-        I: Fn() -> S + Sync,
-        F: Fn(S, usize, &T) -> S + Sync,
-        M: Fn(S, S) -> S,
-    {
-        if items.is_empty() {
-            return identity();
-        }
-        let pieces: Pieces<S> = Mutex::new(Vec::new());
-        self.par_for_ranges(items.len(), min_chunk, |range: Range<usize>| {
-            let mut state = identity();
-            for index in range.clone() {
-                state = fold(state, index, &items[index]);
-            }
-            pieces
-                .lock()
-                .expect("piece lock")
-                .push((range.start, state));
-        });
-        let mut states = into_ordered(pieces).into_iter();
-        let first = states.next().expect("non-empty input yields a chunk");
-        states.fold(first, reduce)
     }
 
     /// Splits `data` into consecutive chunks of `chunk_len` elements (the
@@ -149,17 +82,6 @@ impl Pool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    #[test]
-    fn par_for_visits_every_index_once() {
-        let pool = Pool::with_threads(3);
-        let hits: Vec<AtomicUsize> = (0..257).map(|_| AtomicUsize::new(0)).collect();
-        pool.par_for(hits.len(), |i| {
-            hits[i].fetch_add(1, Ordering::SeqCst);
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::SeqCst) == 1));
-    }
 
     #[test]
     fn par_map_preserves_order() {
@@ -190,37 +112,6 @@ mod tests {
         let pool = Pool::with_threads(2);
         let out: Vec<u8> = pool.par_map(&[] as &[u8], |&x| x);
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn par_fold_reduce_empty_is_identity() {
-        let pool = Pool::with_threads(2);
-        let sum = pool.par_fold_reduce(
-            &[] as &[u64],
-            1,
-            || 42u64,
-            |s, _, &x| s.wrapping_add(x),
-            |a, b| a.wrapping_add(b),
-        );
-        assert_eq!(sum, 42);
-    }
-
-    #[test]
-    fn par_fold_reduce_sees_correct_indices() {
-        let pool = Pool::with_threads(4);
-        let items: Vec<u64> = (0..777).map(|i| i * 3).collect();
-        // Fold checks each item sits at its own index; result is the count.
-        let count = pool.par_fold_reduce(
-            &items,
-            1,
-            || 0usize,
-            |s, index, &item| {
-                assert_eq!(item, index as u64 * 3);
-                s + 1
-            },
-            |a, b| a + b,
-        );
-        assert_eq!(count, items.len());
     }
 
     #[test]

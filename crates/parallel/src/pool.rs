@@ -254,8 +254,8 @@ fn worker_loop(shared: &SharedState, index: usize) {
 /// a worker's chunk submitting its own region — deadlock-free). With
 /// `n == 1` every operation runs serially inline on the caller.
 ///
-/// All data-parallel operations ([`par_for`](Pool::par_for),
-/// [`par_map`](Pool::par_map), [`par_fold_reduce`](Pool::par_fold_reduce),
+/// The data-parallel operations built on
+/// [`par_for_ranges`](Pool::par_for_ranges) ([`par_map`](Pool::par_map),
 /// [`par_chunks_mut`](Pool::par_chunks_mut)) are **bit-deterministic**:
 /// given the documented contracts on the supplied closures, their results
 /// are identical to the serial evaluation for every thread count.

@@ -24,53 +24,6 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn par_fold_reduce_equals_serial_fold(data in prop::collection::vec(any::<u64>(), 1000..1001)) {
-        let pools = pools();
-        for &len in &LENGTHS {
-            let slice = &data[..len];
-            let serial = slice.iter().fold(0u64, |sum, &x| sum.wrapping_add(x));
-            for pool in &pools {
-                let parallel = pool.par_fold_reduce(
-                    slice,
-                    1,
-                    || 0u64,
-                    |sum, _, &x| sum.wrapping_add(x),
-                    |a, b| a.wrapping_add(b),
-                );
-                prop_assert_eq!(parallel, serial, "len {} threads {}", len, pool.threads());
-            }
-        }
-    }
-
-    #[test]
-    fn par_fold_reduce_non_commutative_merge(data in prop::collection::vec(0u64..512, 1000..1001)) {
-        // Concatenation is associative but NOT commutative: this fails if
-        // chunk states are ever reduced in completion order instead of
-        // chunk order.
-        let pools = pools();
-        for &len in &LENGTHS {
-            let slice = &data[..len];
-            let serial: Vec<u64> = slice.to_vec();
-            for pool in &pools {
-                let parallel = pool.par_fold_reduce(
-                    slice,
-                    1,
-                    Vec::new,
-                    |mut acc: Vec<u64>, _, &x| {
-                        acc.push(x);
-                        acc
-                    },
-                    |mut a, mut b| {
-                        a.append(&mut b);
-                        a
-                    },
-                );
-                prop_assert_eq!(&parallel, &serial, "len {} threads {}", len, pool.threads());
-            }
-        }
-    }
-
-    #[test]
     fn par_map_equals_serial_map(data in prop::collection::vec(any::<u64>(), 1000..1001), salt in any::<u64>()) {
         let pools = pools();
         let f = |&x: &u64| x.rotate_left(7) ^ salt;
