@@ -10,7 +10,7 @@
 
 use crate::{EncoderKind, Error, GraphEncoder, GraphHdConfig, GraphHdModel};
 use graphcore::Graph;
-use parallel::{Pool, PoolHandle};
+use parallel::Pool;
 use std::sync::Arc;
 
 /// A graph classification method under the paper's protocol.
@@ -103,7 +103,9 @@ pub fn validate_fit_inputs(
 pub struct GraphHdClassifier {
     config: GraphHdConfig,
     retrain_epochs: usize,
-    pool: PoolHandle,
+    /// The pool [`with_pool`](Self::with_pool) pinned; `None` runs on
+    /// the process-wide global pool.
+    pool: Option<Arc<Pool>>,
     model: Option<GraphHdModel>,
     name: String,
 }
@@ -131,7 +133,7 @@ impl GraphHdClassifier {
         Self {
             config,
             retrain_epochs: 0,
-            pool: PoolHandle::Global,
+            pool: None,
             model: None,
             name: display_name(&config, 0),
         }
@@ -150,7 +152,7 @@ impl GraphHdClassifier {
     /// way; this only controls the parallelism degree.
     #[must_use]
     pub fn with_pool(mut self, pool: Arc<Pool>) -> Self {
-        self.pool = PoolHandle::Owned(pool);
+        self.pool = Some(pool);
         self
     }
 
@@ -179,7 +181,10 @@ impl GraphClassifier for GraphHdClassifier {
     }
 
     fn fit(&mut self, graphs: &[&Graph], labels: &[u32], num_classes: usize) -> Result<(), Error> {
-        let encoder = GraphEncoder::new(self.config)?.with_pool_handle(self.pool.clone());
+        let mut encoder = GraphEncoder::new(self.config)?;
+        if let Some(pool) = &self.pool {
+            encoder = encoder.with_pool(Arc::clone(pool));
+        }
         let model = GraphHdModel::fit_with_retraining(
             encoder,
             graphs,

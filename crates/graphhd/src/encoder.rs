@@ -98,24 +98,10 @@ impl GraphEncoder {
         self
     }
 
-    /// As [`with_pool`](Self::with_pool), but taking a [`PoolHandle`]
-    /// (for callers that may want to restore the global default).
-    #[must_use]
-    pub fn with_pool_handle(mut self, pool: PoolHandle) -> Self {
-        self.pool = pool;
-        self
-    }
-
     /// The pool batch operations run on.
     #[must_use]
     pub fn pool(&self) -> &Pool {
         self.pool.get()
-    }
-
-    /// The pool selection (shared with models fitted from this encoder).
-    #[must_use]
-    pub fn pool_handle(&self) -> &PoolHandle {
-        &self.pool
     }
 
     /// The configuration.
