@@ -1502,4 +1502,26 @@ mod tests {
         );
         assert_eq!(engine.pending(), 0);
     }
+
+    #[test]
+    fn from_model_rebinds_the_served_model_to_the_builder_pool() {
+        let (graphs, labels) = toy();
+        let config = GraphHdConfig::builder()
+            .dim(512)
+            .build()
+            .expect("valid dimension");
+        let model = GraphHdModel::fit(config, &graphs, &labels, 2).expect("valid inputs");
+        let expected = model.predict_batch(&graphs);
+        for threads in [1, 3] {
+            let engine = Engine::builder()
+                .threads(threads)
+                .from_model(model.clone())
+                .expect("valid knobs");
+            assert_eq!(engine.model().encoder().pool().threads(), threads);
+            assert_eq!(
+                engine.classify_batch(&graphs).expect("engine alive"),
+                expected
+            );
+        }
+    }
 }
