@@ -333,7 +333,9 @@ fn main() {
     let path =
         std::env::temp_dir().join(format!("graphhd-serving-bench-{}.ghd", std::process::id()));
     model.save(&path).expect("writable temp dir");
-    let engine = Engine::from_snapshot(&path).expect("valid snapshot");
+    let engine = Engine::builder()
+        .from_snapshot(&path)
+        .expect("valid snapshot");
     std::fs::remove_file(&path).expect("cleanup");
 
     // Baseline: the same queries with no queue in the way.

@@ -54,27 +54,27 @@
 //! `faultpoint` fail points `engine.dispatch` and `pool.region` by the
 //! chaos suite (`crates/engine/tests/chaos.rs`).
 //!
-//! Construction goes through one fluent [`EngineBuilder`] (dimension,
-//! centrality, seed, retraining epochs, thread count, queue bounds) and
-//! the unified [`graphhd::Error`]; a model snapshotted with
-//! [`GraphHdModel::save`] reloads into an engine on any machine via
-//! [`Engine::from_snapshot`].
+//! The engine serves a trained model and never trains one: fit with
+//! [`GraphHdModel::fit`] (or [`GraphHdModel::fit_with_retraining`]) and
+//! serve it via [`EngineBuilder::from_model`], or reload a model saved
+//! with [`GraphHdModel::save`] via [`EngineBuilder::from_snapshot`]. The
+//! builder holds serving knobs only; errors use [`graphhd::Error`].
 //!
 //! # Examples
 //!
 //! ```
 //! use engine::Engine;
 //! use graphcore::generate;
+//! use graphhd::{GraphHdConfig, GraphHdModel};
 //!
 //! let graphs: Vec<_> = (6..14)
 //!     .flat_map(|n| [generate::complete(n), generate::path(n)])
 //!     .collect();
 //! let labels: Vec<u32> = (0..graphs.len()).map(|i| (i % 2) as u32).collect();
 //!
-//! let engine = Engine::builder()
-//!     .dim(2048)
-//!     .queue_capacity(64)
-//!     .fit(&graphs, &labels, 2)?;
+//! let config = GraphHdConfig::builder().dim(2048).build()?;
+//! let model = GraphHdModel::fit(config, &graphs, &labels, 2)?;
+//! let engine = Engine::builder().queue_capacity(64).from_model(model)?;
 //!
 //! assert_eq!(engine.classify(&generate::complete(10))?, 0);
 //! let worker = engine.clone(); // cheap handle for another thread
@@ -84,8 +84,7 @@
 
 use graphcore::Graph;
 use graphhd::select::argmax_tie_low;
-use graphhd::{CentralityKind, EncoderKind, Error, GraphHdConfig, GraphHdModel};
-use hdvec::TieBreak;
+use graphhd::{Error, GraphHdModel};
 use parallel::Pool;
 use std::borrow::Borrow;
 use std::collections::VecDeque;
@@ -149,6 +148,30 @@ enum Response {
     Class(u32),
     Scores(Vec<f64>),
 }
+
+impl Response {
+    /// The answer to a [`Work::Classify`] request.
+    fn class(self) -> Result<u32, Error> {
+        match self {
+            Self::Class(class) => Ok(class),
+            Self::Scores(_) => Err(WRONG_RESPONSE),
+        }
+    }
+
+    /// The answer to a [`Work::Scores`] request.
+    fn scores(self) -> Result<Vec<f64>, Error> {
+        match self {
+            Self::Scores(scores) => Ok(scores),
+            Self::Class(_) => Err(WRONG_RESPONSE),
+        }
+    }
+}
+
+/// A request answered with the other [`Response`] variant than its
+/// [`Work`] asked for (a dispatcher bug, never expected).
+const WRONG_RESPONSE: Error = Error::Internal {
+    what: "request answered with the wrong response variant",
+};
 
 /// One-shot response slot a submitter blocks on.
 ///
@@ -608,9 +631,9 @@ impl std::fmt::Debug for DispatcherGuard {
 /// batching request queue. Cloning is cheap (two `Arc`s) and every clone
 /// talks to the same queue and model.
 ///
-/// Built by [`EngineBuilder`] (see [`Engine::builder`]); restored from a
-/// snapshot by [`Engine::from_snapshot`]. See the [crate
-/// documentation](crate) for the serving architecture.
+/// Built by [`EngineBuilder`] (see [`Engine::builder`]) from a trained
+/// model or a snapshot. See the [crate documentation](crate) for the
+/// serving architecture.
 #[derive(Clone)]
 pub struct Engine {
     shared: Arc<Shared>,
@@ -630,24 +653,10 @@ impl std::fmt::Debug for Engine {
 }
 
 impl Engine {
-    /// Starts a fluent builder with the paper-default model
-    /// configuration and default queue bounds.
+    /// Starts a fluent builder with the global pool and default queue
+    /// bounds.
     pub fn builder() -> EngineBuilder {
         EngineBuilder::new()
-    }
-
-    /// Loads a snapshotted model (see [`GraphHdModel::save`]) and serves
-    /// it with default engine settings — the two-line path from artifact
-    /// to serving process. Use
-    /// [`EngineBuilder::from_snapshot`] to customise queue bounds or the
-    /// thread pool.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Io`] / [`Error::Snapshot`] for unreadable or
-    /// malformed snapshot files.
-    pub fn from_snapshot<P: AsRef<Path>>(path: P) -> Result<Self, Error> {
-        EngineBuilder::new().from_snapshot(path)
     }
 
     /// The served model (read-only; the engine never mutates it).
@@ -723,8 +732,7 @@ impl Engine {
     /// expires first, and [`Error::TaskFailed`] if the request's batch
     /// panicked.
     pub fn classify(&self, graph: &Graph) -> Result<u32, Error> {
-        let slot = self.shared.submit(graph.clone(), Work::Classify, None)?;
-        Self::await_class(&slot)
+        self.request(graph, Work::Classify, None)?.class()
     }
 
     /// [`classify`](Self::classify) with a per-request latency bound:
@@ -738,20 +746,7 @@ impl Engine {
     ///
     /// As [`classify`](Self::classify).
     pub fn classify_within(&self, graph: &Graph, timeout: Duration) -> Result<u32, Error> {
-        let deadline = Instant::now() + timeout;
-        let slot = self
-            .shared
-            .submit(graph.clone(), Work::Classify, Some(deadline))?;
-        Self::await_class(&slot)
-    }
-
-    fn await_class(slot: &Slot) -> Result<u32, Error> {
-        match slot.wait()? {
-            Response::Class(class) => Ok(class),
-            Response::Scores(_) => Err(Error::Internal {
-                what: "classify request answered with a score vector",
-            }),
-        }
+        self.request(graph, Work::Classify, Some(timeout))?.class()
     }
 
     /// Cosine similarity of `graph` to every class vector, served
@@ -761,8 +756,7 @@ impl Engine {
     ///
     /// As [`classify`](Self::classify).
     pub fn scores(&self, graph: &Graph) -> Result<Vec<f64>, Error> {
-        let slot = self.shared.submit(graph.clone(), Work::Scores, None)?;
-        Self::await_scores(&slot)
+        self.request(graph, Work::Scores, None)?.scores()
     }
 
     /// [`scores`](Self::scores) with a per-request latency bound (see
@@ -772,20 +766,7 @@ impl Engine {
     ///
     /// As [`classify`](Self::classify).
     pub fn scores_within(&self, graph: &Graph, timeout: Duration) -> Result<Vec<f64>, Error> {
-        let deadline = Instant::now() + timeout;
-        let slot = self
-            .shared
-            .submit(graph.clone(), Work::Scores, Some(deadline))?;
-        Self::await_scores(&slot)
-    }
-
-    fn await_scores(slot: &Slot) -> Result<Vec<f64>, Error> {
-        match slot.wait()? {
-            Response::Scores(scores) => Ok(scores),
-            Response::Class(_) => Err(Error::Internal {
-                what: "scores request answered with a class id",
-            }),
-        }
+        self.request(graph, Work::Scores, Some(timeout))?.scores()
     }
 
     /// Classifies a batch: all graphs are enqueued (blocking as
@@ -797,25 +778,7 @@ impl Engine {
     ///
     /// As [`classify`](Self::classify); the first failed request wins.
     pub fn classify_batch<G: Borrow<Graph>>(&self, graphs: &[G]) -> Result<Vec<u32>, Error> {
-        let mut slots = Vec::with_capacity(graphs.len());
-        for graph in graphs {
-            slots.push(
-                self.shared
-                    .submit(graph.borrow().clone(), Work::Classify, None)?,
-            );
-        }
-        let mut results = Vec::with_capacity(slots.len());
-        for slot in slots {
-            match slot.wait()? {
-                Response::Class(class) => results.push(class),
-                Response::Scores(_) => {
-                    return Err(Error::Internal {
-                        what: "classify request answered with a score vector",
-                    })
-                }
-            }
-        }
-        Ok(results)
+        self.request_batch(graphs, None)
     }
 
     /// [`classify_batch`](Self::classify_batch) with one deadline
@@ -834,37 +797,38 @@ impl Engine {
         graphs: &[G],
         timeout: Duration,
     ) -> Result<Vec<u32>, Error> {
-        let deadline = Instant::now() + timeout;
-        let mut slots = Vec::with_capacity(graphs.len());
-        for graph in graphs {
-            slots.push(self.shared.submit(
-                graph.borrow().clone(),
-                Work::Classify,
-                Some(deadline),
-            )?);
-        }
-        let mut results = Vec::with_capacity(slots.len());
-        for slot in slots {
-            match slot.wait()? {
-                Response::Class(class) => results.push(class),
-                Response::Scores(_) => {
-                    return Err(Error::Internal {
-                        what: "classify request answered with a score vector",
-                    })
-                }
-            }
-        }
-        Ok(results)
+        self.request_batch(graphs, Some(timeout))
     }
 
-    /// Snapshots the served model to `path` — the running engine is the
-    /// natural place to produce the next deployable artifact.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Io`] if writing fails.
-    pub fn snapshot<P: AsRef<Path>>(&self, path: P) -> Result<(), Error> {
-        self.shared.model.save(path)
+    /// The single-graph submit-and-await path. A `timeout` becomes an
+    /// absolute deadline at entry; `None` leaves the request to the
+    /// builder's default deadline.
+    fn request(
+        &self,
+        graph: &Graph,
+        work: Work,
+        timeout: Option<Duration>,
+    ) -> Result<Response, Error> {
+        let deadline = timeout.map(|timeout| Instant::now() + timeout);
+        self.shared.submit(graph.clone(), work, deadline)?.wait()
+    }
+
+    /// The batch path: enqueues every graph under one deadline fixed at
+    /// entry, then awaits the answers in order.
+    fn request_batch<G: Borrow<Graph>>(
+        &self,
+        graphs: &[G],
+        timeout: Option<Duration>,
+    ) -> Result<Vec<u32>, Error> {
+        let deadline = timeout.map(|timeout| Instant::now() + timeout);
+        let slots = graphs
+            .iter()
+            .map(|graph| {
+                self.shared
+                    .submit(graph.borrow().clone(), Work::Classify, deadline)
+            })
+            .collect::<Result<Vec<_>, Error>>()?;
+        slots.iter().map(|slot| slot.wait()?.class()).collect()
     }
 
     /// Graceful shutdown: closes the queue (new submissions fail with
@@ -876,39 +840,39 @@ impl Engine {
     }
 }
 
-/// Fluent builder for [`Engine`]: model knobs (dimension, centrality,
-/// seed, tie-break, retraining epochs), execution knobs (thread count or
-/// explicit pool) and serving knobs (queue capacity, batch limit), with
-/// one validating construction step at the end ([`fit`](Self::fit),
-/// [`from_model`](Self::from_model) or
-/// [`from_snapshot`](Self::from_snapshot)).
+/// Fluent builder for [`Engine`]: execution knobs (thread count or
+/// explicit pool) and serving knobs (queue bounds, overload policy,
+/// deadlines, restart budget), with one validating construction step
+/// at the end — [`from_model`](Self::from_model) for a trained model or
+/// [`from_snapshot`](Self::from_snapshot) for a saved one.
 ///
 /// # Examples
 ///
 /// ```
 /// use engine::Engine;
 /// use graphcore::generate;
-/// use graphhd::CentralityKind;
+/// use graphhd::{CentralityKind, GraphEncoder, GraphHdConfig, GraphHdModel};
 ///
 /// let graphs = vec![generate::complete(8), generate::path(8)];
-/// let engine = Engine::builder()
+/// let config = GraphHdConfig::builder()
 ///     .dim(1024)
 ///     .centrality(CentralityKind::Degree)
 ///     .seed(7)
-///     .retrain_epochs(3)
+///     .build()?;
+/// let model =
+///     GraphHdModel::fit_with_retraining(GraphEncoder::new(config)?, &graphs, &[0, 1], 2, 3)?;
+/// let engine = Engine::builder()
 ///     .threads(2)
 ///     .queue_capacity(32)
 ///     .max_batch(8)
-///     .fit(&graphs, &[0, 1], 2)?;
+///     .from_model(model)?;
 /// assert_eq!(engine.num_classes(), 2);
 /// engine.shutdown();
 /// # Ok::<(), graphhd::Error>(())
 /// ```
 #[derive(Debug, Clone)]
-#[must_use = "a builder does nothing until `fit`/`from_model`/`from_snapshot`"]
+#[must_use = "a builder does nothing until `from_model`/`from_snapshot`"]
 pub struct EngineBuilder {
-    config: GraphHdConfig,
-    retrain_epochs: usize,
     pool: Option<Arc<Pool>>,
     queue_capacity: usize,
     max_batch: usize,
@@ -924,12 +888,9 @@ impl Default for EngineBuilder {
 }
 
 impl EngineBuilder {
-    /// Paper-default model configuration, global pool, default queue
-    /// bounds.
+    /// Global pool, default queue bounds.
     pub fn new() -> Self {
         Self {
-            config: GraphHdConfig::default(),
-            retrain_epochs: 0,
             pool: None,
             queue_capacity: DEFAULT_QUEUE_CAPACITY,
             max_batch: DEFAULT_MAX_BATCH,
@@ -937,53 +898,6 @@ impl EngineBuilder {
             default_deadline: None,
             dispatcher_restarts: DEFAULT_DISPATCHER_RESTARTS,
         }
-    }
-
-    /// Sets the hypervector dimensionality d (paper: 10,000).
-    pub fn dim(mut self, dim: usize) -> Self {
-        self.config.dim = dim;
-        self
-    }
-
-    /// Sets the centrality metric supplying vertex identifiers.
-    pub fn centrality(mut self, centrality: CentralityKind) -> Self {
-        self.config.centrality = centrality;
-        self
-    }
-
-    /// Sets the seed of the basis item memory.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.config.seed = seed;
-        self
-    }
-
-    /// Sets the tie-break policy for bundling majorities.
-    pub fn tie_break(mut self, tie_break: TieBreak) -> Self {
-        self.config.tie_break = tie_break;
-        self
-    }
-
-    /// Selects the graph encoding strategy (paper default: the GraphHD
-    /// centrality recipe). The choice is recorded in snapshots, so an
-    /// engine restored via [`Engine::from_snapshot`] serves the same
-    /// encoder it was trained with.
-    pub fn with_encoder(mut self, encoder: EncoderKind) -> Self {
-        self.config.encoder = encoder;
-        self
-    }
-
-    /// Replaces the whole model configuration (e.g. one restored from a
-    /// config file); individual setters can still refine it afterwards.
-    pub fn config(mut self, config: GraphHdConfig) -> Self {
-        self.config = config;
-        self
-    }
-
-    /// Perceptron retraining epochs applied after [`fit`](Self::fit)
-    /// (0 = paper baseline, no retraining).
-    pub fn retrain_epochs(mut self, epochs: usize) -> Self {
-        self.retrain_epochs = epochs;
-        self
     }
 
     /// Pins the engine to a dedicated pool of `threads.max(1)` threads
@@ -1040,8 +954,7 @@ impl EngineBuilder {
         self
     }
 
-    /// Validates the serving knobs (the model config is validated by the
-    /// construction path that consumes it).
+    /// Validates the serving knobs.
     fn validate(&self) -> Result<(), Error> {
         if self.queue_capacity == 0 {
             return Err(Error::ZeroQueueCapacity);
@@ -1052,40 +965,8 @@ impl EngineBuilder {
         Ok(())
     }
 
-    /// Trains a model on `graphs`/`labels` (with the configured
-    /// retraining epochs) and starts serving it. Accepts both `&[Graph]`
-    /// and `&[&Graph]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error`] for invalid serving knobs, an invalid model
-    /// configuration, or inconsistent training inputs.
-    pub fn fit<G: Borrow<Graph> + Sync>(
-        self,
-        graphs: &[G],
-        labels: &[u32],
-        num_classes: usize,
-    ) -> Result<Engine, Error> {
-        self.validate()?;
-        // `GraphEncoder::new` revalidates the configuration (dimension),
-        // so the builder's model knobs need no separate build step here.
-        let mut encoder = graphhd::GraphEncoder::new(self.config)?;
-        if let Some(pool) = &self.pool {
-            encoder = encoder.with_pool(Arc::clone(pool));
-        }
-        let model = GraphHdModel::fit_with_retraining(
-            encoder,
-            graphs,
-            labels,
-            num_classes,
-            self.retrain_epochs,
-        )?;
-        self.spawn(model)
-    }
-
-    /// Starts serving an already-trained model (the model keeps its own
-    /// configuration; the builder's model knobs are ignored, its pool
-    /// and queue knobs apply).
+    /// Starts serving a trained model, rebound to the builder's pool
+    /// when one was set.
     ///
     /// # Errors
     ///
@@ -1100,8 +981,7 @@ impl EngineBuilder {
     }
 
     /// Loads a snapshot (see [`GraphHdModel::save`]) and starts serving
-    /// it. As with [`from_model`](Self::from_model), the snapshot's own
-    /// configuration wins over the builder's model knobs.
+    /// it as [`from_model`](Self::from_model) does.
     ///
     /// # Errors
     ///
@@ -1159,6 +1039,7 @@ impl EngineBuilder {
 mod tests {
     use super::*;
     use graphcore::generate;
+    use graphhd::{EncoderKind, GraphHdConfig};
 
     fn toy() -> (Vec<Graph>, Vec<u32>) {
         let mut graphs = Vec::new();
@@ -1172,15 +1053,23 @@ mod tests {
         (graphs, labels)
     }
 
-    fn toy_engine(dim: usize, capacity: usize, max_batch: usize) -> (Engine, Vec<Graph>) {
+    /// A model fitted offline on [`toy`] at dimension `dim`.
+    fn toy_model(dim: usize) -> GraphHdModel {
         let (graphs, labels) = toy();
-        let engine = Engine::builder()
+        let config = GraphHdConfig::builder()
             .dim(dim)
+            .build()
+            .expect("valid dimension");
+        GraphHdModel::fit(config, &graphs, &labels, 2).expect("valid inputs")
+    }
+
+    fn toy_engine(dim: usize, capacity: usize, max_batch: usize) -> (Engine, Vec<Graph>) {
+        let engine = Engine::builder()
             .queue_capacity(capacity)
             .max_batch(max_batch)
-            .fit(&graphs, &labels, 2)
-            .expect("valid inputs");
-        (engine, graphs)
+            .from_model(toy_model(dim))
+            .expect("valid knobs");
+        (engine, toy().0)
     }
 
     #[test]
@@ -1226,18 +1115,22 @@ mod tests {
     fn with_encoder_survives_fit_and_snapshot_restore() {
         let (graphs, labels) = toy();
         let kind = EncoderKind::EdgeWeighted { weight_cap: 3 };
-        let engine = Engine::builder()
+        let config = GraphHdConfig::builder()
             .dim(512)
             .with_encoder(kind)
-            .fit(&graphs, &labels, 2)
-            .expect("valid inputs");
+            .build()
+            .expect("valid config");
+        let model = GraphHdModel::fit(config, &graphs, &labels, 2).expect("valid inputs");
+        let engine = Engine::builder().from_model(model).expect("valid knobs");
         assert_eq!(engine.model().encoder().config().encoder, kind);
         let expected: Vec<u32> = graphs.iter().map(|g| engine.model().predict(g)).collect();
 
         let path =
             std::env::temp_dir().join(format!("graphhd-engine-encoder-{}.ghd", std::process::id()));
-        engine.snapshot(&path).expect("snapshot written");
-        let restored = Engine::from_snapshot(&path).expect("valid snapshot");
+        engine.model().save(&path).expect("snapshot written");
+        let restored = Engine::builder()
+            .from_snapshot(&path)
+            .expect("valid snapshot");
         std::fs::remove_file(&path).expect("cleanup");
         assert_eq!(restored.model().encoder().config().encoder, kind);
         let served: Vec<u32> = graphs
@@ -1249,34 +1142,20 @@ mod tests {
 
     #[test]
     fn builder_rejects_zero_bounds() {
-        let (graphs, labels) = toy();
+        let model = toy_model(64);
         assert_eq!(
             Engine::builder()
                 .queue_capacity(0)
-                .fit(&graphs, &labels, 2)
+                .from_model(model.clone())
                 .unwrap_err(),
             Error::ZeroQueueCapacity
         );
         assert_eq!(
             Engine::builder()
                 .max_batch(0)
-                .fit(&graphs, &labels, 2)
+                .from_model(model)
                 .unwrap_err(),
             Error::ZeroBatch
-        );
-        assert_eq!(
-            Engine::builder()
-                .dim(0)
-                .fit(&graphs, &labels, 2)
-                .unwrap_err(),
-            Error::ZeroDimension
-        );
-        assert_eq!(
-            Engine::builder()
-                .dim(64)
-                .fit::<Graph>(&[], &[], 2)
-                .unwrap_err(),
-            Error::EmptyTrainingSet
         );
     }
 
@@ -1290,29 +1169,6 @@ mod tests {
         assert_eq!(clone.classify(&graphs[0]).unwrap_err(), Error::ShutDown);
         // Idempotent.
         clone.shutdown();
-    }
-
-    #[test]
-    fn retrain_epochs_match_offline_retraining() {
-        let (graphs, labels) = toy();
-        let engine = Engine::builder()
-            .dim(1024)
-            .seed(5)
-            .retrain_epochs(4)
-            .fit(&graphs, &labels, 2)
-            .expect("valid inputs");
-
-        let config = GraphHdConfig::builder()
-            .dim(1024)
-            .seed(5)
-            .build()
-            .expect("valid dimension");
-        let encoder = graphhd::GraphEncoder::new(config).expect("valid config");
-        let encodings = encoder.encode_all(&graphs);
-        let mut reference = GraphHdModel::fit_encoded(encoder, &encodings, &labels, 2);
-        let _ = reference.retrain(&encodings, &labels, 4);
-
-        assert_eq!(engine.model().class_vectors(), reference.class_vectors());
     }
 
     #[test]
@@ -1423,12 +1279,11 @@ mod tests {
 
     #[test]
     fn default_deadline_applies_to_plain_classify() {
-        let (graphs, labels) = toy();
+        let graphs = toy().0;
         let engine = Engine::builder()
-            .dim(256)
             .default_deadline(Duration::ZERO)
-            .fit(&graphs, &labels, 2)
-            .expect("valid inputs");
+            .from_model(toy_model(256))
+            .expect("valid knobs");
         assert_eq!(
             engine.classify(&graphs[0]).unwrap_err(),
             Error::DeadlineExceeded

@@ -12,18 +12,18 @@
 //!
 //! Faults are seeded: each scenario runs under `GRAPHHD_FAULTS`-style
 //! plans for seeds {1..5} (or just the seed of the ambient
-//! `GRAPHHD_FAULTS` when CI's chaos matrix sets one). Engines are
-//! always **fitted before faults are armed** — training runs on the
-//! same pool the `pool.region` fail point cuts.
+//! `GRAPHHD_FAULTS` when CI's chaos matrix sets one). Models are
+//! always **fitted before faults are armed** — training runs pool
+//! regions, which the `pool.region` fail point cuts.
 
 use engine::{Engine, EngineStats};
 use graphcore::Graph;
-use graphhd::Error;
+use graphhd::{Error, GraphHdConfig, GraphHdModel};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Serializes every test in this file. A fault plan armed by one test
-/// is process-wide, so without this another test's set-up (an engine
+/// is process-wide, so without this another test's set-up (a model
 /// fit, a fault-free classify) or verification could run under it.
 /// Poison-tolerant: one failed test must not fail the rest.
 fn serial() -> MutexGuard<'static, ()> {
@@ -48,6 +48,15 @@ fn workload() -> (Vec<Graph>, Vec<u32>) {
         }
     }
     (graphs, labels)
+}
+
+/// A model fitted offline on `workload()`; every scenario serves one.
+fn fitted(graphs: &[Graph], labels: &[u32]) -> GraphHdModel {
+    let config = GraphHdConfig::builder()
+        .dim(256)
+        .build()
+        .expect("valid dimension");
+    GraphHdModel::fit(config, graphs, labels, 2).expect("valid inputs")
 }
 
 /// The seeds each scenario sweeps: the ambient `GRAPHHD_FAULTS` seed
@@ -103,12 +112,11 @@ fn dispatcher_panics_are_supervised_and_no_submitter_is_stranded() {
     let (graphs, labels) = workload();
     for seed in seeds() {
         let engine = Engine::builder()
-            .dim(256)
             .queue_capacity(4)
             .max_batch(4)
             .dispatcher_restarts(1_000_000)
-            .fit(&graphs, &labels, 2)
-            .expect("valid inputs");
+            .from_model(fitted(&graphs, &labels))
+            .expect("valid knobs");
         let expected: Vec<u32> = graphs.iter().map(|g| engine.model().predict(g)).collect();
 
         let guard = faultpoint::configure(&format!("seed={seed};engine.dispatch=30%panic"))
@@ -152,11 +160,10 @@ fn injected_dispatch_errors_fail_batches_without_restarting() {
     let (graphs, labels) = workload();
     for seed in seeds() {
         let engine = Engine::builder()
-            .dim(256)
             .queue_capacity(4)
             .max_batch(4)
-            .fit(&graphs, &labels, 2)
-            .expect("valid inputs");
+            .from_model(fitted(&graphs, &labels))
+            .expect("valid knobs");
 
         let guard = faultpoint::configure(&format!("seed={seed};engine.dispatch=50%error"))
             .expect("valid spec");
@@ -190,11 +197,10 @@ fn slow_dispatch_expires_deadlined_requests_exactly() {
     let _serial = serial();
     let (graphs, labels) = workload();
     let engine = Engine::builder()
-        .dim(256)
         .queue_capacity(8)
         .max_batch(2)
-        .fit(&graphs, &labels, 2)
-        .expect("valid inputs");
+        .from_model(fitted(&graphs, &labels))
+        .expect("valid knobs");
 
     // Every batch stalls 25 ms behind a 5 ms deadline: the dispatch-time
     // re-check must expire queue-aged requests without scoring them.
@@ -252,12 +258,11 @@ fn pool_region_crashes_are_contained_to_their_batch() {
     let (graphs, labels) = workload();
     for seed in seeds() {
         let engine = Engine::builder()
-            .dim(256)
             .queue_capacity(4)
             .max_batch(4)
             .threads(2)
-            .fit(&graphs, &labels, 2)
-            .expect("valid inputs");
+            .from_model(fitted(&graphs, &labels))
+            .expect("valid knobs");
 
         let guard = faultpoint::configure(&format!("seed={seed};pool.region=25%panic"))
             .expect("valid spec");
@@ -287,12 +292,11 @@ fn exhausted_restart_budget_poisons_the_engine_and_fails_fast() {
     let _serial = serial();
     let (graphs, labels) = workload();
     let engine = Engine::builder()
-        .dim(256)
         .queue_capacity(4)
         .max_batch(4)
         .dispatcher_restarts(2)
-        .fit(&graphs, &labels, 2)
-        .expect("valid inputs");
+        .from_model(fitted(&graphs, &labels))
+        .expect("valid knobs");
 
     let guard = faultpoint::configure("seed=1;engine.dispatch=panic").expect("valid spec");
     // Every batch crashes: after the budget (2 restarts + the final
@@ -337,13 +341,12 @@ fn mixed_faults_at_every_engine_fail_point_reconcile_across_seeds() {
     let (graphs, labels) = workload();
     for seed in seeds() {
         let engine = Engine::builder()
-            .dim(256)
             .queue_capacity(4)
             .max_batch(3)
             .threads(2)
             .dispatcher_restarts(1_000_000)
-            .fit(&graphs, &labels, 2)
-            .expect("valid inputs");
+            .from_model(fitted(&graphs, &labels))
+            .expect("valid knobs");
 
         let spec = format!(
             "seed={seed};engine.dispatch=10%panic;engine.dispatch=15%error;\

@@ -5,7 +5,7 @@
 
 use engine::{Engine, OverloadPolicy};
 use graphcore::Graph;
-use graphhd::{Error, GraphHdConfig, GraphHdModel};
+use graphhd::{Error, GraphHdConfig, GraphHdConfigBuilder, GraphHdModel};
 use std::time::{Duration, Instant};
 
 fn workload() -> (Vec<Graph>, Vec<u32>) {
@@ -27,18 +27,27 @@ fn workload() -> (Vec<Graph>, Vec<u32>) {
     (graphs, labels)
 }
 
+/// A model fitted offline on `graphs` with the configuration `config`
+/// describes; each test serves one.
+fn fitted(config: GraphHdConfigBuilder, graphs: &[Graph], labels: &[u32]) -> GraphHdModel {
+    let config = config.build().expect("valid dimension");
+    GraphHdModel::fit(config, graphs, labels, 2).expect("valid inputs")
+}
+
 #[test]
 fn concurrent_submitters_match_serial_predictions() {
     let (graphs, labels) = workload();
     // A small queue and batch so the soak actually exercises
     // backpressure and multi-batch dispatch, not just the happy path.
     let engine = Engine::builder()
-        .dim(2048)
-        .seed(23)
         .queue_capacity(4)
         .max_batch(3)
-        .fit(&graphs, &labels, 2)
-        .expect("valid inputs");
+        .from_model(fitted(
+            GraphHdConfig::builder().dim(2048).seed(23),
+            &graphs,
+            &labels,
+        ))
+        .expect("valid knobs");
     let expected = engine.model().predict_batch(&graphs);
 
     const SUBMITTERS: usize = 4;
@@ -74,11 +83,10 @@ fn concurrent_submitters_match_serial_predictions() {
 fn scores_served_concurrently_are_bit_identical() {
     let (graphs, labels) = workload();
     let engine = Engine::builder()
-        .dim(1024)
         .queue_capacity(3)
         .max_batch(2)
-        .fit(&graphs, &labels, 2)
-        .expect("valid inputs");
+        .from_model(fitted(GraphHdConfig::builder().dim(1024), &graphs, &labels))
+        .expect("valid knobs");
     let expected: Vec<Vec<f64>> = graphs.iter().map(|g| engine.model().scores(g)).collect();
     std::thread::scope(|scope| {
         let mut handles = Vec::new();
@@ -105,11 +113,10 @@ fn scores_served_concurrently_are_bit_identical() {
 fn shutdown_racing_submitters_never_corrupts_results() {
     let (graphs, labels) = workload();
     let engine = Engine::builder()
-        .dim(512)
         .queue_capacity(2)
         .max_batch(2)
-        .fit(&graphs, &labels, 2)
-        .expect("valid inputs");
+        .from_model(fitted(GraphHdConfig::builder().dim(512), &graphs, &labels))
+        .expect("valid knobs");
     let expected = engine.model().predict_batch(&graphs);
 
     std::thread::scope(|scope| {
@@ -165,12 +172,11 @@ fn overload_policies_reconcile_under_sustained_pressure() {
         OverloadPolicy::Timeout(Duration::from_millis(2)),
     ] {
         let engine = Engine::builder()
-            .dim(512)
             .queue_capacity(4)
             .max_batch(2)
             .overload_policy(policy)
-            .fit(&graphs, &labels, 2)
-            .expect("valid inputs");
+            .from_model(fitted(GraphHdConfig::builder().dim(512), &graphs, &labels))
+            .expect("valid knobs");
         let expected = engine.model().predict_batch(&graphs);
 
         let started = Instant::now();
@@ -240,17 +246,14 @@ fn overload_policies_reconcile_under_sustained_pressure() {
 #[test]
 fn snapshot_from_running_engine_reloads_into_identical_engine() {
     let (graphs, labels) = workload();
-    let config = GraphHdConfig::builder()
-        .dim(1024)
-        .seed(9)
-        .build()
-        .expect("valid dimension");
-    let model = GraphHdModel::fit(config, &graphs, &labels, 2).expect("valid inputs");
+    let model = fitted(GraphHdConfig::builder().dim(1024).seed(9), &graphs, &labels);
     let engine = Engine::builder().from_model(model).expect("valid knobs");
 
     let path = std::env::temp_dir().join(format!("graphhd-engine-soak-{}.ghd", std::process::id()));
-    engine.snapshot(&path).expect("writable temp dir");
-    let restored = Engine::from_snapshot(&path).expect("valid snapshot");
+    engine.model().save(&path).expect("writable temp dir");
+    let restored = Engine::builder()
+        .from_snapshot(&path)
+        .expect("valid snapshot");
     std::fs::remove_file(&path).expect("cleanup");
 
     assert_eq!(

@@ -88,9 +88,7 @@ impl Default for GraphHdConfig {
 impl GraphHdConfig {
     /// Starts a fluent, validating builder from the paper defaults — the
     /// one construction surface shared by ablation binaries, tests and
-    /// the serving [`EngineBuilder`] that embeds it.
-    ///
-    /// [`EngineBuilder`]: https://docs.rs/engine
+    /// the models the serving engine is handed.
     pub fn builder() -> GraphHdConfigBuilder {
         GraphHdConfigBuilder {
             config: Self::default(),

@@ -89,8 +89,7 @@ impl GraphHdModel {
     /// `epochs` perceptron [`retrain`](Self::retrain) epochs over the
     /// training set — encoded **once** and reused, since encoding
     /// dominates training cost. The single owner of the encode-once
-    /// retraining sequence shared by the harness classifier and the
-    /// serving engine builder.
+    /// retraining sequence behind the harness classifier.
     ///
     /// # Errors
     ///

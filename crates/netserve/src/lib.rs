@@ -43,11 +43,12 @@
 //!
 //! // Train a tiny model and host it.
 //! let graphs = vec![generate::complete(6), generate::path(6)];
+//! let config = graphhd::GraphHdConfig::builder().dim(512).build().expect("valid dimension");
+//! let model = graphhd::GraphHdModel::fit(config, &graphs, &[0, 1], 2).expect("fit");
 //! let engine = engine::Engine::builder()
-//!     .dim(512)
 //!     .threads(1)
-//!     .fit(&graphs, &[0, 1], 2)
-//!     .expect("fit");
+//!     .from_model(model)
+//!     .expect("engine");
 //! let registry = Arc::new(netserve::ModelRegistry::new());
 //! registry.insert("demo", engine).expect("insert");
 //!

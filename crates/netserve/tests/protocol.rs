@@ -27,12 +27,16 @@ fn fit_engine(seed: u64) -> engine::Engine {
             generate::with_planted_triangles(&base, 3, &mut rng).expect("n >= 3")
         });
     }
-    engine::Engine::builder()
+    let config = graphhd::GraphHdConfig::builder()
         .dim(256)
         .seed(seed)
+        .build()
+        .expect("valid dimension");
+    let model = graphhd::GraphHdModel::fit(config, &graphs, &labels, 2).expect("fit");
+    engine::Engine::builder()
         .threads(1)
-        .fit(&graphs, &labels, 2)
-        .expect("fit")
+        .from_model(model)
+        .expect("engine")
 }
 
 fn serve_one() -> (netserve::Server, Graph) {

@@ -71,7 +71,9 @@ fn mutag_model_round_trips_bit_identically_through_disk() {
     // request queue.
     let path = temp_snapshot_path("mutag-engine");
     model.save(&path).expect("temp dir is writable");
-    let served = Engine::from_snapshot(&path).expect("just-written snapshot decodes");
+    let served = Engine::builder()
+        .from_snapshot(&path)
+        .expect("just-written snapshot decodes");
     std::fs::remove_file(&path).expect("cleanup");
     assert_eq!(
         served.classify_batch(&test_graphs).expect("engine alive"),
