@@ -66,86 +66,6 @@ impl ItemMemory {
     }
 }
 
-/// An [`ItemMemory`] with a growable cache of generated hypervectors, for
-/// hot loops that repeatedly touch the same low indices (e.g. encoding all
-/// graphs of a dataset, where ranks 0..max_n recur constantly).
-///
-/// # Examples
-///
-/// ```
-/// use hdvec::CachedItemMemory;
-///
-/// let mut memory = CachedItemMemory::new(10_000, 99)?;
-/// let first = memory.hypervector(3).clone();
-/// let again = memory.hypervector(3).clone();
-/// assert_eq!(first, again);
-/// # Ok::<(), hdvec::HdvError>(())
-/// ```
-#[derive(Debug, Clone)]
-pub struct CachedItemMemory {
-    inner: ItemMemory,
-    cache: Vec<Hypervector>,
-}
-
-impl CachedItemMemory {
-    /// Creates an empty cached memory.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HdvError::ZeroDimension`] if `dim == 0`.
-    pub fn new(dim: usize, seed: u64) -> Result<Self, HdvError> {
-        Ok(Self {
-            inner: ItemMemory::new(dim, seed)?,
-            cache: Vec::new(),
-        })
-    }
-
-    /// Creates a cached memory with the first `prefill` items generated
-    /// eagerly.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HdvError::ZeroDimension`] if `dim == 0`.
-    pub fn with_prefill(dim: usize, seed: u64, prefill: usize) -> Result<Self, HdvError> {
-        let mut mem = Self::new(dim, seed)?;
-        mem.ensure(prefill);
-        Ok(mem)
-    }
-
-    /// The dimensionality of produced hypervectors.
-    #[must_use]
-    pub fn dim(&self) -> usize {
-        self.inner.dim()
-    }
-
-    /// Number of currently cached items.
-    #[must_use]
-    pub fn cached_len(&self) -> usize {
-        self.cache.len()
-    }
-
-    /// Returns the hypervector for `index`, generating and caching it (and
-    /// any missing predecessors) on first use.
-    pub fn hypervector(&mut self, index: usize) -> &Hypervector {
-        self.ensure(index + 1);
-        &self.cache[index]
-    }
-
-    /// Ensures at least `len` items are cached.
-    pub fn ensure(&mut self, len: usize) {
-        while self.cache.len() < len {
-            let next = self.cache.len() as u64;
-            self.cache.push(self.inner.hypervector(next));
-        }
-    }
-
-    /// A shared view of the underlying deterministic memory.
-    #[must_use]
-    pub fn as_item_memory(&self) -> ItemMemory {
-        self.inner
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -154,10 +74,6 @@ mod tests {
     fn zero_dimension_rejected() {
         assert!(matches!(
             ItemMemory::new(0, 1),
-            Err(HdvError::ZeroDimension)
-        ));
-        assert!(matches!(
-            CachedItemMemory::new(0, 1),
             Err(HdvError::ZeroDimension)
         ));
     }
@@ -194,21 +110,5 @@ mod tests {
                 assert!(sim.abs() < 0.06, "items {i} and {j} too similar: {sim}");
             }
         }
-    }
-
-    #[test]
-    fn cache_matches_uncached() {
-        let plain = ItemMemory::new(256, 24).unwrap();
-        let mut cached = CachedItemMemory::new(256, 24).unwrap();
-        for i in [5usize, 2, 7, 5, 0] {
-            assert_eq!(cached.hypervector(i), &plain.hypervector(i as u64));
-        }
-        assert_eq!(cached.cached_len(), 8);
-    }
-
-    #[test]
-    fn prefill_generates_eagerly() {
-        let cached = CachedItemMemory::with_prefill(128, 25, 10).unwrap();
-        assert_eq!(cached.cached_len(), 10);
     }
 }

@@ -12,10 +12,10 @@
 //!   unspecified.
 //! - [`Hypervector::permute`] — the **permutation** operation (circular
 //!   shift), completing Kanerva's operation triple.
-//! - [`ItemMemory`] / [`CachedItemMemory`] — deterministic basis
-//!   ("item") hypervector generation: the hypervector for symbol *i* is a
-//!   pure function of `(seed, i)`, so independent processes agree on the
-//!   basis without sharing state.
+//! - [`ItemMemory`] — deterministic basis ("item") hypervector
+//!   generation: the hypervector for symbol *i* is a pure function of
+//!   `(seed, i)`, so independent processes agree on the basis without
+//!   sharing state.
 //! - [`ClassMemory`] — a word-interleaved layout for one-query-to-many
 //!   similarity scoring (the associative-memory lookup of HDC inference),
 //!   streaming each query word once across a block of stored vectors.
@@ -68,7 +68,7 @@ pub use bitslice::BitSliceAccumulator;
 pub use class_memory::ClassMemory;
 pub use error::HdvError;
 pub use hypervector::Hypervector;
-pub use item_memory::{CachedItemMemory, ItemMemory};
+pub use item_memory::ItemMemory;
 pub use level_memory::LevelMemory;
 
 /// The hypervector dimensionality used by the paper in all experiments
