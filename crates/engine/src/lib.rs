@@ -1340,12 +1340,8 @@ mod tests {
 
     #[test]
     fn from_model_serves_an_existing_model() {
-        let (graphs, labels) = toy();
-        let config = GraphHdConfig::builder()
-            .dim(1024)
-            .build()
-            .expect("valid dimension");
-        let model = GraphHdModel::fit(config, &graphs, &labels, 2).expect("valid inputs");
+        let graphs = toy().0;
+        let model = toy_model(1024);
         let expected = model.predict_batch(&graphs);
         let engine = Engine::builder()
             .threads(2)
