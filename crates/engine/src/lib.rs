@@ -1095,6 +1095,29 @@ mod tests {
     }
 
     #[test]
+    fn classify_ties_go_to_the_lower_class_id() {
+        // Classes 1 and 8 (different 8-lane blocks) share one encoding;
+        // a query equal to it must be answered with the lower id.
+        let config = GraphHdConfig::builder()
+            .dim(1024)
+            .build()
+            .expect("valid dimension");
+        let encoder = graphhd::GraphEncoder::new(config).expect("valid config");
+        let graph = generate::path(7);
+        let encodings: Vec<_> = (0..9)
+            .map(|c| match c {
+                1 | 8 => encoder.encode(&graph),
+                _ => encoder.encode(&generate::complete(c + 3)),
+            })
+            .collect();
+        let labels: Vec<u32> = (0..9).collect();
+        let model = GraphHdModel::fit_encoded(encoder, &encodings, &labels, 9);
+        let engine = Engine::builder().from_model(model).expect("valid knobs");
+        assert_eq!(engine.classify(&graph).expect("engine alive"), 1);
+        assert_eq!(engine.model().predict(&graph), 1);
+    }
+
+    #[test]
     fn classify_batch_matches_predict_all_through_tiny_queue() {
         // Capacity 2 with a 32-graph batch: the submit loop must ride
         // the backpressure (dispatcher drains while we enqueue).

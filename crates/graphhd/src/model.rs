@@ -766,6 +766,49 @@ mod tests {
     }
 
     #[test]
+    fn identical_class_vectors_tie_to_the_lower_class_id() {
+        // Twin classes share one encoding, so a query equal to it sits at
+        // distance 0 from both. The lower id must win on every decision
+        // path, also when the twins sit in different 8-lane blocks.
+        use hdvec::ItemMemory;
+        let dim = 1024;
+        let config = GraphHdConfig::builder()
+            .dim(dim)
+            .build()
+            .expect("valid dimension");
+        let encoder = GraphEncoder::new(config).expect("valid config");
+        let graph = generate::path(7);
+        let twin = encoder.encode(&graph);
+        let items = ItemMemory::new(dim, 91).expect("valid dimension");
+        for (classes, low, high) in [(2usize, 0usize, 1usize), (9, 1, 4), (9, 1, 8), (23, 1, 8)] {
+            let encodings: Vec<Hypervector> = (0..classes)
+                .map(|c| {
+                    if c == low || c == high {
+                        twin.clone()
+                    } else {
+                        items.hypervector(c as u64)
+                    }
+                })
+                .collect();
+            let labels: Vec<u32> = (0..classes as u32).collect();
+            let model = GraphHdModel::fit_encoded(encoder.clone(), &encodings, &labels, classes);
+            let scores = model.scores_encoded(&twin);
+            assert_eq!(scores[low], 1.0, "classes {classes}");
+            assert_eq!(scores[low], scores[high], "classes {classes}");
+            assert_eq!(
+                model.predict_encoded(&twin),
+                low as u32,
+                "classes {classes}"
+            );
+            assert_eq!(
+                model.predict_all(&[&graph, &graph, &graph]),
+                vec![low as u32; 3],
+                "classes {classes}"
+            );
+        }
+    }
+
+    #[test]
     fn noise_injection_keeps_dimensions() {
         let (model, _, _) = fit_toy(1024);
         let mut rng = Xoshiro256PlusPlus::seed_from_u64(1);
