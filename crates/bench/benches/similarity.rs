@@ -35,19 +35,13 @@ fn bench_similarity(c: &mut Criterion) {
                 });
             },
         );
-        // The adaptive engine: per-vector below one full block (a block
-        // kernel always pays for 8 lanes), blocked at >= 8 classes where
-        // each query word streams once across an 8-lane block and the
-        // accumulators live in SIMD registers.
+        // The blocked engine: each query word streams once across an
+        // 8-lane block and the accumulators live in SIMD registers.
         group.bench_with_input(
             BenchmarkId::new("scores_many", classes),
             &classes,
             |bencher, _| {
-                let mut scores = Vec::with_capacity(classes);
-                bencher.iter(|| {
-                    class_memory.cosine_many_into(black_box(&query), &mut scores);
-                    black_box(scores[0])
-                });
+                bencher.iter(|| class_memory.cosine_many(black_box(&query))[0]);
             },
         );
     }

@@ -14,9 +14,9 @@
 //!   batch as a [`parallel::Pool`] region, so concurrent requests are
 //!   amortized over one parallel sweep exactly like offline batch
 //!   prediction;
-//! - scoring runs the allocation-free
-//!   [`GraphHdModel::scores_encoded_into`] path into a per-worker scratch
-//!   buffer, which lands on the blocked+SIMD `hdvec::ClassMemory` engine;
+//! - each request is answered by [`GraphHdModel::predict`] or
+//!   [`GraphHdModel::scores`], so the engine and offline prediction share
+//!   one decision rule on the blocked+SIMD `hdvec::ClassMemory` scan;
 //! - [`Engine::shutdown`] (and dropping the last handle) closes the
 //!   queue, **drains** every request already accepted, then joins the
 //!   dispatcher — accepted work is never dropped;
@@ -83,7 +83,6 @@
 //! ```
 
 use graphcore::Graph;
-use graphhd::select::argmax_tie_low;
 use graphhd::{Error, GraphHdModel};
 use parallel::Pool;
 use std::borrow::Borrow;
@@ -521,10 +520,9 @@ impl Shared {
         }
     }
 
-    /// Scores one batch on the model's pool. Each worker range reuses
-    /// one scratch score buffer across its requests
-    /// (`scores_encoded_into`), so the scoring path allocates only for
-    /// requests that asked for the score vector itself.
+    /// Answers one batch on the model's pool: `Classify` through
+    /// [`GraphHdModel::predict`], `Scores` through
+    /// [`GraphHdModel::scores`].
     fn run_batch(&self, batch: &[&Request]) {
         let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
             let model = &self.model;
@@ -532,23 +530,12 @@ impl Shared {
                 .encoder()
                 .pool()
                 .par_for_ranges(batch.len(), 1, |range| {
-                    let mut scratch: Vec<f64> = Vec::new();
                     for request in &batch[range] {
-                        let encoded = model.encoder().encode(&request.graph);
-                        model.scores_encoded_into(&encoded, &mut scratch);
                         let response = match request.work {
-                            // A fitted model always scores >= 1 class;
-                            // an empty score vector fails the request
-                            // rather than aborting the dispatcher.
-                            Work::Classify => match argmax_tie_low(&scratch) {
-                                Some(best) => Ok(Response::Class(best as u32)),
-                                None => Err(Error::Internal {
-                                    what: "model produced an empty score vector",
-                                }),
-                            },
-                            Work::Scores => Ok(Response::Scores(scratch.clone())),
+                            Work::Classify => Response::Class(model.predict(&request.graph)),
+                            Work::Scores => Response::Scores(model.scores(&request.graph)),
                         };
-                        request.finish(response);
+                        request.finish(Ok(response));
                     }
                 });
         }));

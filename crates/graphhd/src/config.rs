@@ -85,6 +85,13 @@ impl Default for GraphHdConfig {
     }
 }
 
+/// Upper bound, in bytes, on the vertex-similarity level table: `levels`
+/// packed hypervectors of `⌈dim/64⌉` words each, all built when the
+/// encoder is. The depth rule alone lets a forged snapshot header ask for
+/// ~`dim² / 16` bytes (64 GiB at `dim = 2^20`); at the paper's
+/// d = 10,000 that rule already caps the table at 6.3 MB, far below this.
+pub(crate) const MAX_LEVEL_TABLE_BYTES: usize = 64 << 20;
+
 impl GraphHdConfig {
     /// Starts a fluent, validating builder from the paper defaults — the
     /// one construction surface shared by ablation binaries, tests and
@@ -110,6 +117,12 @@ impl GraphHdConfig {
             if levels as usize - 1 > self.dim / 2 {
                 return Err(Error::InvalidEncoderConfig {
                     what: "vertex-similarity levels must not exceed dim / 2 + 1",
+                });
+            }
+            let table_bytes = (levels as usize).saturating_mul(self.dim.div_ceil(64) * 8);
+            if table_bytes > MAX_LEVEL_TABLE_BYTES {
+                return Err(Error::InvalidEncoderConfig {
+                    what: "vertex-similarity level table must not exceed 64 MiB",
                 });
             }
         }
@@ -191,7 +204,7 @@ impl GraphHdConfigBuilder {
     /// Returns [`Error::ZeroDimension`] if the dimension is zero and
     /// [`Error::InvalidEncoderConfig`] if the selected encoder strategy
     /// has degenerate parameters, including more vertex-similarity
-    /// levels than `dim / 2 + 1`.
+    /// levels than `dim / 2 + 1` or a level table above 64 MiB.
     pub fn build(self) -> Result<GraphHdConfig, Error> {
         self.config.validate()?;
         Ok(self.config)
@@ -296,6 +309,21 @@ mod tests {
                 }
             );
         }
+        // At dim 2^20 the depth rule allows 2^19 + 1 levels, a 64 GiB
+        // table; the byte bound refuses it while shallow tables build.
+        let wide = |levels| {
+            GraphHdConfig::builder()
+                .dim(1 << 20)
+                .with_encoder(EncoderKind::VertexSimilarity { levels })
+                .build()
+        };
+        assert!(wide(16).is_ok());
+        assert_eq!(
+            wide((1 << 19) + 1).unwrap_err(),
+            Error::InvalidEncoderConfig {
+                what: "vertex-similarity level table must not exceed 64 MiB"
+            }
+        );
     }
 
     #[test]

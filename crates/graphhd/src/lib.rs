@@ -67,7 +67,6 @@ pub mod metrics;
 mod model;
 pub mod noise;
 pub mod prototypes;
-pub mod select;
 mod snapshot;
 pub mod strategy;
 

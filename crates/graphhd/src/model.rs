@@ -1,7 +1,6 @@
 //! GraphHD training (Algorithm 1) and inference, plus the retraining
 //! extension (future-work direction 1 of Section VII).
 
-use crate::select::argmax_tie_low;
 use crate::{Error, GraphEncoder, GraphHdConfig};
 use graphcore::Graph;
 use hdvec::{Accumulator, ClassMemory, Hypervector};
@@ -37,10 +36,9 @@ impl RetrainReport {
 pub struct GraphHdModel {
     encoder: GraphEncoder,
     class_accumulators: Vec<Accumulator>,
-    /// The single store of the trained class vectors: contiguous copies
-    /// for per-vector access plus the word-interleaved lanes the blocked
-    /// multi-query scoring runs on. Retraining rewrites the affected
-    /// entries in place via [`ClassMemory::set`].
+    /// The single store of the trained class vectors, one word-interleaved
+    /// lane per class, which every scan and decision runs on. Retraining
+    /// rewrites the affected lanes in place via [`ClassMemory::set`].
     class_memory: ClassMemory,
 }
 
@@ -211,10 +209,13 @@ impl GraphHdModel {
         self.class_memory.len()
     }
 
-    /// The trained class vectors.
+    /// The trained class vectors, in class order, gathered out of the
+    /// class memory's lanes.
     #[must_use]
-    pub fn class_vectors(&self) -> &[Hypervector] {
-        self.class_memory.vectors()
+    pub fn class_vectors(&self) -> Vec<Hypervector> {
+        (0..self.num_classes())
+            .map(|class| self.class_memory.get(class))
+            .collect()
     }
 
     /// Cosine similarity of an already-encoded query to every class.
@@ -228,25 +229,21 @@ impl GraphHdModel {
         self.class_memory.cosine_many(query)
     }
 
-    /// As [`scores_encoded`](Self::scores_encoded), writing into a
-    /// caller-provided buffer — the allocation-free entry point for
-    /// serving loops that score many queries against one model.
-    pub fn scores_encoded_into(&self, query: &Hypervector, out: &mut Vec<f64>) {
-        self.class_memory.cosine_many_into(query, out);
-    }
-
     /// Cosine similarity of a graph to every class vector.
     #[must_use]
     pub fn scores(&self, graph: &Graph) -> Vec<f64> {
         self.scores_encoded(&self.encoder.encode(graph))
     }
 
-    /// Predicts the class of an already-encoded query (ties go to the
-    /// lower class id).
+    /// Predicts the class of an already-encoded query: the class vector
+    /// at the smallest Hamming distance, which is the most
+    /// cosine-similar one (ties go to the lower class id).
     #[must_use]
     pub fn predict_encoded(&self, query: &Hypervector) -> u32 {
         crate::metrics::metrics().predictions.inc();
-        argmax_tie_low(&self.scores_encoded(query)).expect("models always have >= 1 class") as u32
+        self.class_memory
+            .nearest(query)
+            .expect("models always have >= 1 class") as u32
     }
 
     /// Predicts the class of a graph — `pred(y)` of Section III-C.
@@ -389,7 +386,7 @@ impl GraphHdModel {
     pub fn with_noisy_class_vectors<R: prng::WordRng>(&self, rate: f64, rng: &mut R) -> Self {
         let mut noisy = self.clone();
         for class in 0..noisy.num_classes() {
-            let mut class_vector = noisy.class_memory.get(class).clone();
+            let mut class_vector = noisy.class_memory.get(class);
             class_vector.add_noise(rate, rng);
             noisy.class_memory.set(class, &class_vector);
         }
@@ -751,9 +748,6 @@ mod tests {
                 .map(|c| c.cosine(&query))
                 .collect();
             assert_eq!(model.scores_encoded(&query), naive, "classes {classes}");
-            let mut buffer = Vec::new();
-            model.scores_encoded_into(&query, &mut buffer);
-            assert_eq!(buffer, naive, "into-variant classes {classes}");
             // First-maximum scan: the documented tie-to-lower-id rule.
             let mut expected = 0usize;
             for (i, &s) in naive.iter().enumerate().skip(1) {
@@ -814,7 +808,7 @@ mod tests {
         let mut rng = Xoshiro256PlusPlus::seed_from_u64(1);
         let noisy = model.with_noisy_class_vectors(0.2, &mut rng);
         assert_eq!(noisy.num_classes(), model.num_classes());
-        for (a, b) in noisy.class_vectors().iter().zip(model.class_vectors()) {
+        for (a, b) in noisy.class_vectors().iter().zip(&model.class_vectors()) {
             assert_eq!(a.dim(), b.dim());
             assert_ne!(a, b, "20% noise should change the vectors");
         }

@@ -8,7 +8,6 @@
 //! new prototype. Inference takes the class of the most similar prototype
 //! overall.
 
-use crate::select::argmax_tie_low;
 use crate::{validate_fit_inputs, Error, GraphClassifier, GraphEncoder, GraphHdConfig};
 use graphcore::Graph;
 use hdvec::{Accumulator, ClassMemory, Hypervector};
@@ -172,11 +171,13 @@ impl MultiPrototypeModel {
         })
     }
 
-    /// The class of the most similar prototype lane (ties to the lowest
-    /// lane, i.e. the lowest class then the earliest-spawned prototype).
+    /// The class of the nearest prototype lane (ties to the lowest lane,
+    /// i.e. the lowest class then the earliest-spawned prototype).
     fn classify(&self, query: &Hypervector) -> u32 {
-        let scores = self.memory.cosine_many(query);
-        let lane = argmax_tie_low(&scores).expect("training allocates >= 1 prototype");
+        let lane = self
+            .memory
+            .nearest(query)
+            .expect("training allocates >= 1 prototype");
         self.lane_class[lane]
     }
 

@@ -760,16 +760,13 @@ mod tests {
         assert_eq!(err, Error::Snapshot(SnapshotError::Truncated));
     }
 
-    #[test]
-    fn forged_similarity_depth_is_corrupt_not_an_allocation_abort() {
-        // A complete 79-byte v2 snapshot built by hand: dim 64, one class,
-        // and the vertex-similarity encoder with levels = u32::MAX. The
-        // level memory holds every level, so accepting this header would
-        // ask the allocator for 2^32 hypervectors and abort the process.
+    /// A hand-built 71-byte v2 snapshot header: one class, the
+    /// vertex-similarity encoder at `levels`, and no class-vector payload.
+    fn similarity_header(dim: u64, levels: u64) -> Vec<u8> {
         let mut bytes = Vec::new();
         bytes.extend_from_slice(&SNAPSHOT_MAGIC);
         bytes.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-        bytes.extend_from_slice(&64u64.to_le_bytes()); // dim
+        bytes.extend_from_slice(&dim.to_le_bytes());
         bytes.extend_from_slice(&7u64.to_le_bytes()); // item-memory seed
         bytes.push(0); // PageRank centrality
         bytes.push(0); // TieBreak::Positive
@@ -777,10 +774,20 @@ mod tests {
         bytes.extend_from_slice(&10u64.to_le_bytes()); // pagerank iterations
         bytes.extend_from_slice(&0.85f64.to_bits().to_le_bytes());
         bytes.push(1); // VertexSimilarity
-        bytes.extend_from_slice(&u64::from(u32::MAX).to_le_bytes()); // levels
+        bytes.extend_from_slice(&levels.to_le_bytes());
         bytes.extend_from_slice(&1u64.to_le_bytes()); // num_classes
+        assert_eq!(bytes.len(), 71);
+        bytes
+    }
+
+    #[test]
+    fn forged_similarity_depth_is_corrupt_not_an_allocation_abort() {
+        // A complete 79-byte v2 snapshot: dim 64, one class, and the
+        // vertex-similarity encoder with levels = u32::MAX. The level
+        // memory holds every level, so accepting this header would ask
+        // the allocator for 2^32 hypervectors and abort the process.
+        let mut bytes = similarity_header(64, u64::from(u32::MAX));
         bytes.extend_from_slice(&0u64.to_le_bytes()); // the one class vector
-        assert_eq!(bytes.len(), 79);
         assert_eq!(
             GraphHdModel::load_from(&mut bytes.as_slice()).unwrap_err(),
             Error::Snapshot(SnapshotError::Corrupt {
@@ -793,6 +800,28 @@ mod tests {
         assert_eq!(
             model.encoder().config().encoder,
             EncoderKind::VertexSimilarity { levels: 33 }
+        );
+    }
+
+    #[test]
+    fn forged_level_table_size_is_corrupt_not_an_allocation_abort() {
+        // dim 2^20 admits 2^19 + 1 levels by depth, a 64 GiB level table
+        // the loader would build before reading any payload. The header
+        // alone must be refused.
+        let bytes = similarity_header(1 << 20, (1 << 19) + 1);
+        assert_eq!(
+            GraphHdModel::load_from(&mut bytes.as_slice()).unwrap_err(),
+            Error::Snapshot(SnapshotError::Corrupt {
+                what: "encoder fields"
+            })
+        );
+        // A shallow table at the same dimension still builds and loads.
+        let mut bytes = similarity_header(1 << 20, 16);
+        bytes.resize(bytes.len() + (1 << 17), 0); // one 2^20-bit class vector
+        let model = GraphHdModel::load_from(&mut bytes.as_slice()).expect("valid snapshot");
+        assert_eq!(
+            model.encoder().config().encoder,
+            EncoderKind::VertexSimilarity { levels: 16 }
         );
     }
 

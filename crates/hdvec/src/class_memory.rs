@@ -5,13 +5,15 @@
 //! re-enters the kernel dispatch K times. [`ClassMemory`] instead stores
 //! the vectors **word-interleaved** in blocks of
 //! [`BLOCK_LANES`](crate::backend::BLOCK_LANES) lanes — word `w` of the
-//! block's lanes sits at `block[w * BLOCK_LANES + lane]` — so
-//! [`hamming_many`](ClassMemory::hamming_many) streams each query word
-//! once per block across all of its lanes while the per-lane distance
-//! accumulators stay in registers (or two SIMD vectors on the AVX2
-//! backend). This is the structure-of-arrays "associative memory" layout
-//! that HDC inference engines batch their similarity pipelines over, and
-//! the substrate `GraphHdModel` scores class vectors on.
+//! block's lanes sits at `block[w * BLOCK_LANES + lane]` — so every scan
+//! streams each query word once per block across all of its lanes while
+//! the per-lane distance accumulators stay in registers (or two SIMD
+//! vectors on the AVX2 backend). This is the structure-of-arrays
+//! "associative memory" layout that HDC inference engines batch their
+//! similarity pipelines over, and the only copy of the class vectors
+//! `GraphHdModel` keeps. [`nearest`](ClassMemory::nearest) is the
+//! decision rule on top: the smallest Hamming distance is the largest
+//! cosine, since `cos = 1 − 2h/d` for bipolar vectors.
 
 use crate::backend::{Backend, BLOCK_LANES};
 use crate::{HdvError, Hypervector};
@@ -32,6 +34,7 @@ use crate::{HdvError, Hypervector};
 /// assert_eq!(distances.len(), 23);
 /// assert_eq!(distances[3], 0);
 /// assert_eq!(memory.cosine_many(&query)[3], 1.0);
+/// assert_eq!(memory.nearest(&query), Some(3));
 /// # Ok::<(), hdvec::HdvError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -39,16 +42,10 @@ pub struct ClassMemory {
     dim: usize,
     words: usize,
     len: usize,
-    /// Word-interleaved lane blocks, `words * BLOCK_LANES` words each;
-    /// lanes at index ≥ `len` (in the last block) hold zeros and are
-    /// never read back.
+    /// The stored vectors, word-interleaved in lane blocks of
+    /// `words * BLOCK_LANES` words each; lanes at index ≥ `len` (in the
+    /// last block) hold zeros and are never read back.
     blocks: Vec<Vec<u64>>,
-    /// The same vectors contiguous, in storage order. A block kernel
-    /// always pays for all [`BLOCK_LANES`] lanes, so below one full
-    /// block (the binary-classification case) scoring runs per-vector
-    /// over these instead — measurably faster at 2 classes, identical
-    /// results either way.
-    plain: Vec<Hypervector>,
 }
 
 impl ClassMemory {
@@ -66,7 +63,6 @@ impl ClassMemory {
             words: dim.div_ceil(64),
             len: 0,
             blocks: Vec::new(),
-            plain: Vec::new(),
         })
     }
 
@@ -116,23 +112,12 @@ impl ClassMemory {
     ///
     /// Panics if the dimensions differ.
     pub fn push(&mut self, hv: &Hypervector) {
-        assert_eq!(
-            self.dim,
-            hv.dim(),
-            "cannot store a {}-dimensional hypervector in a {}-dimensional class memory",
-            hv.dim(),
-            self.dim
-        );
-        let lane = self.len % BLOCK_LANES;
-        if lane == 0 {
+        self.check_dim(hv);
+        if self.len % BLOCK_LANES == 0 {
             self.blocks.push(vec![0u64; self.words * BLOCK_LANES]);
         }
-        let block = self.blocks.last_mut().expect("block just ensured");
-        for (w, &word) in hv.words().iter().enumerate() {
-            block[w * BLOCK_LANES + lane] = word;
-        }
-        self.plain.push(hv.clone());
         self.len += 1;
+        self.set(self.len - 1, hv);
     }
 
     /// Replaces the vector at `index` — the retraining hook: a class
@@ -143,11 +128,41 @@ impl ClassMemory {
     ///
     /// Panics if `index >= len()` or the dimensions differ.
     pub fn set(&mut self, index: usize, hv: &Hypervector) {
+        self.check_index(index);
+        self.check_dim(hv);
+        let block = &mut self.blocks[index / BLOCK_LANES];
+        let lane = index % BLOCK_LANES;
+        for (w, &word) in hv.words().iter().enumerate() {
+            block[w * BLOCK_LANES + lane] = word;
+        }
+    }
+
+    /// The vector at `index`, gathered out of its lane.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index >= len()`.
+    #[must_use]
+    pub fn get(&self, index: usize) -> Hypervector {
+        self.check_index(index);
+        let block = &self.blocks[index / BLOCK_LANES];
+        let words = block[index % BLOCK_LANES..]
+            .iter()
+            .step_by(BLOCK_LANES)
+            .copied()
+            .collect();
+        Hypervector::from_raw(self.dim, words)
+    }
+
+    fn check_index(&self, index: usize) {
         assert!(
             index < self.len,
             "class memory index {index} out of bounds for {} vectors",
             self.len
         );
+    }
+
+    fn check_dim(&self, hv: &Hypervector) {
         assert_eq!(
             self.dim,
             hv.dim(),
@@ -155,43 +170,11 @@ impl ClassMemory {
             hv.dim(),
             self.dim
         );
-        let block = &mut self.blocks[index / BLOCK_LANES];
-        let lane = index % BLOCK_LANES;
-        for (w, &word) in hv.words().iter().enumerate() {
-            block[w * BLOCK_LANES + lane] = word;
-        }
-        self.plain[index] = hv.clone();
-    }
-
-    /// All stored vectors, contiguous and in storage order.
-    #[must_use]
-    pub fn vectors(&self) -> &[Hypervector] {
-        &self.plain
-    }
-
-    /// The vector at `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= len()`.
-    #[must_use]
-    pub fn get(&self, index: usize) -> &Hypervector {
-        assert!(
-            index < self.len,
-            "class memory index {index} out of bounds for {} vectors",
-            self.len
-        );
-        &self.plain[index]
     }
 
     /// Streams the Hamming distance of `query` to every stored vector
-    /// (in order) into `emit`. The blocked layout pays for all
-    /// [`BLOCK_LANES`] lanes of a block and only beats the per-vector
-    /// kernel when the lanes fill SIMD registers, so scoring runs
-    /// per-vector over the contiguous copies below one full block *or*
-    /// whenever the scalar backend is active (its per-vector path is the
-    /// Harley–Seal tree, which the lane-parallel loop cannot match).
-    /// Both paths are exact popcounts and agree bit-for-bit.
+    /// (in order) into `emit`, one block kernel call per
+    /// [`BLOCK_LANES`] vectors on every backend and at every size.
     fn distances<F: FnMut(u64)>(&self, query: &Hypervector, mut emit: F) {
         assert_eq!(
             self.dim,
@@ -201,12 +184,6 @@ impl ClassMemory {
             self.dim
         );
         let backend = Backend::active();
-        if self.len < BLOCK_LANES || !backend.is_simd() {
-            for hv in &self.plain {
-                emit(backend.hamming(query.words(), hv.words()));
-            }
-            return;
-        }
         let mut remaining = self.len;
         for block in &self.blocks {
             let mut acc = [0u64; BLOCK_LANES];
@@ -219,19 +196,28 @@ impl ClassMemory {
         }
     }
 
-    /// Hamming distance of `query` to every stored vector, in storage
-    /// order, written into `out` (resized to `len()`).
+    /// Index of the stored vector nearest to `query` in Hamming distance
+    /// — equivalently, the most cosine-similar one. Ties go to the
+    /// lowest index; an empty memory has no nearest vector.
     ///
     /// # Panics
     ///
     /// Panics if the dimensions differ.
-    pub fn hamming_many_into(&self, query: &Hypervector, out: &mut Vec<usize>) {
-        out.clear();
-        out.reserve(self.len);
-        self.distances(query, |d| out.push(d as usize));
+    #[must_use]
+    pub fn nearest(&self, query: &Hypervector) -> Option<usize> {
+        let mut best: Option<(usize, u64)> = None;
+        let mut index = 0;
+        self.distances(query, |d| {
+            if best.is_none_or(|(_, nearest)| d < nearest) {
+                best = Some((index, d));
+            }
+            index += 1;
+        });
+        best.map(|(index, _)| index)
     }
 
-    /// Hamming distance of `query` to every stored vector.
+    /// Hamming distance of `query` to every stored vector, in storage
+    /// order.
     ///
     /// # Panics
     ///
@@ -239,40 +225,12 @@ impl ClassMemory {
     #[must_use]
     pub fn hamming_many(&self, query: &Hypervector) -> Vec<usize> {
         let mut out = Vec::with_capacity(self.len);
-        self.hamming_many_into(query, &mut out);
+        self.distances(query, |d| out.push(d as usize));
         out
     }
 
-    /// Dot product (`d − 2·hamming`) of `query` with every stored vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the dimensions differ.
-    #[must_use]
-    pub fn dot_many(&self, query: &Hypervector) -> Vec<i64> {
-        self.hamming_many(query)
-            .into_iter()
-            .map(|h| self.dim as i64 - 2 * h as i64)
-            .collect()
-    }
-
-    /// Cosine similarity of `query` with every stored vector, written
-    /// into `out` (resized to `len()`). Bit-identical to calling
-    /// [`Hypervector::cosine`] per vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the dimensions differ.
-    pub fn cosine_many_into(&self, query: &Hypervector, out: &mut Vec<f64>) {
-        out.clear();
-        out.reserve(self.len);
-        let dim = self.dim as f64;
-        self.distances(query, |h| {
-            out.push((self.dim as i64 - 2 * h as i64) as f64 / dim);
-        });
-    }
-
     /// Cosine similarity of `query` with every stored vector.
+    /// Bit-identical to calling [`Hypervector::cosine`] per vector.
     ///
     /// # Panics
     ///
@@ -280,7 +238,10 @@ impl ClassMemory {
     #[must_use]
     pub fn cosine_many(&self, query: &Hypervector) -> Vec<f64> {
         let mut out = Vec::with_capacity(self.len);
-        self.cosine_many_into(query, &mut out);
+        let dim = self.dim as f64;
+        self.distances(query, |h| {
+            out.push((self.dim as i64 - 2 * h as i64) as f64 / dim);
+        });
         out
     }
 }
@@ -326,7 +287,7 @@ mod tests {
         assert_eq!(memory.dim(), 130);
         assert!(!memory.is_empty());
         for (i, v) in vs.iter().enumerate() {
-            assert_eq!(memory.get(i), v, "vector {i}");
+            assert_eq!(&memory.get(i), v, "vector {i}");
         }
     }
 
@@ -340,20 +301,44 @@ mod tests {
                 let blocked = memory.hamming_many(&query);
                 let naive: Vec<usize> = vs.iter().map(|v| v.hamming(&query)).collect();
                 assert_eq!(blocked, naive, "n={n} dim={dim}");
+                assert_eq!(
+                    memory.nearest(&query),
+                    first_minimum(&naive),
+                    "n={n} dim={dim}"
+                );
             }
         }
+        // A duplicated vector ties with its original at distance 0, in
+        // the same block and across a block boundary: the lower index wins.
+        let mut vs = vectors(1000, 23, 3);
+        vs[4] = vs[1].clone();
+        vs[17] = vs[1].clone();
+        let memory = ClassMemory::from_vectors(&vs).unwrap();
+        assert_eq!(memory.nearest(&vs[1]), Some(1));
+        assert_eq!(memory.nearest(&vs[17]), Some(1));
+        let empty = ClassMemory::new(64).unwrap();
+        assert_eq!(empty.nearest(&vectors(64, 1, 3)[0]), None);
+    }
+
+    /// Index of the first smallest distance: the tie-low reference rule.
+    fn first_minimum(distances: &[usize]) -> Option<usize> {
+        let mut best = None;
+        for (i, &d) in distances.iter().enumerate() {
+            if best.is_none_or(|b: usize| d < distances[b]) {
+                best = Some(i);
+            }
+        }
+        best
     }
 
     #[test]
-    fn cosine_and_dot_match_pairwise() {
+    fn cosine_many_matches_pairwise_cosine() {
         let vs = vectors(10_000, 23, 4);
         let memory = ClassMemory::from_vectors(&vs).unwrap();
         let query = ItemMemory::new(10_000, 5).unwrap().hypervector(9);
         let cosines = memory.cosine_many(&query);
-        let dots = memory.dot_many(&query);
         for (i, v) in vs.iter().enumerate() {
             assert_eq!(cosines[i], v.cosine(&query), "cosine {i}");
-            assert_eq!(dots[i], v.dot(&query), "dot {i}");
         }
     }
 
@@ -363,25 +348,12 @@ mod tests {
         let mut memory = ClassMemory::from_vectors(&vs).unwrap();
         let replacement = ItemMemory::new(500, 7).unwrap().hypervector(0);
         memory.set(9, &replacement);
-        assert_eq!(memory.get(9), &replacement);
+        assert_eq!(memory.get(9), replacement);
         for (i, v) in vs.iter().enumerate().take(9) {
-            assert_eq!(memory.get(i), v, "lane {i} must be untouched");
+            assert_eq!(&memory.get(i), v, "lane {i} must be untouched");
         }
         let query = ItemMemory::new(500, 8).unwrap().hypervector(0);
         assert_eq!(memory.hamming_many(&query)[9], replacement.hamming(&query));
-    }
-
-    #[test]
-    fn into_variants_reuse_buffers() {
-        let vs = vectors(256, 3, 9);
-        let memory = ClassMemory::from_vectors(&vs).unwrap();
-        let query = ItemMemory::new(256, 10).unwrap().hypervector(0);
-        let mut hams = vec![123usize; 17];
-        let mut cosines = vec![9.0f64; 17];
-        memory.hamming_many_into(&query, &mut hams);
-        memory.cosine_many_into(&query, &mut cosines);
-        assert_eq!(hams, memory.hamming_many(&query));
-        assert_eq!(cosines, memory.cosine_many(&query));
     }
 
     #[test]

@@ -18,7 +18,9 @@
 //!   sharing state.
 //! - [`ClassMemory`] — a word-interleaved layout for one-query-to-many
 //!   similarity scoring (the associative-memory lookup of HDC inference),
-//!   streaming each query word once across a block of stored vectors.
+//!   storing each vector once and streaming each query word once across
+//!   a block of stored vectors; [`ClassMemory::nearest`] picks the
+//!   smallest Hamming distance, ties to the lowest index.
 //!
 //! The word-level kernels underneath (`XOR`+popcount, counter updates,
 //! thresholding, sign packing) are runtime-dispatched through
