@@ -301,9 +301,11 @@ mod tests {
                 let blocked = memory.hamming_many(&query);
                 let naive: Vec<usize> = vs.iter().map(|v| v.hamming(&query)).collect();
                 assert_eq!(blocked, naive, "n={n} dim={dim}");
+                // `min_by_key` keeps the first of equal minima.
+                let first_minimum = naive.iter().enumerate().min_by_key(|&(_, d)| d);
                 assert_eq!(
                     memory.nearest(&query),
-                    first_minimum(&naive),
+                    first_minimum.map(|(i, _)| i),
                     "n={n} dim={dim}"
                 );
             }
@@ -318,17 +320,6 @@ mod tests {
         assert_eq!(memory.nearest(&vs[17]), Some(1));
         let empty = ClassMemory::new(64).unwrap();
         assert_eq!(empty.nearest(&vectors(64, 1, 3)[0]), None);
-    }
-
-    /// Index of the first smallest distance: the tie-low reference rule.
-    fn first_minimum(distances: &[usize]) -> Option<usize> {
-        let mut best = None;
-        for (i, &d) in distances.iter().enumerate() {
-            if best.is_none_or(|b: usize| d < distances[b]) {
-                best = Some(i);
-            }
-        }
-        best
     }
 
     #[test]
