@@ -649,74 +649,82 @@ mod tests {
     }
 
     #[test]
-    fn speculative_retrain_matches_serial_reference() {
+    fn retrain_matches_serial_reference_at_every_thread_count() {
         use parallel::Pool;
         use std::sync::Arc;
-        // A hard (non-separable at this dimension) task so retraining
-        // makes many updates — the worst case for speculation.
-        let mut rng = Xoshiro256PlusPlus::seed_from_u64(31);
-        let mut graphs = Vec::new();
-        let mut labels = Vec::new();
-        for i in 0..60 {
-            let base = generate::erdos_renyi(16, 0.2, &mut rng).expect("valid p");
-            if i % 2 == 0 {
-                graphs.push(base);
-                labels.push(0u32);
-            } else {
-                graphs.push(generate::with_planted_triangles(&base, 4, &mut rng).expect("n >= 3"));
-                labels.push(1u32);
-            }
-        }
-        let config = GraphHdConfig::builder()
-            .dim(1024)
-            .build()
-            .expect("valid dimension");
-        let encoder = crate::GraphEncoder::new(config).expect("valid config");
-        let encodings = encoder.encode_all(&graphs);
-
-        // Serial reference: the pre-speculation perceptron loop, verbatim.
-        let mut reference = GraphHdModel::fit_encoded(encoder.clone(), &encodings, &labels, 2);
-        let tie = config.tie_break;
-        let mut reference_errors = Vec::new();
-        for _ in 0..8 {
-            let mut errors = 0usize;
-            for (hv, &label) in encodings.iter().zip(&labels) {
-                let predicted = reference.predict_encoded(hv);
-                if predicted != label {
-                    errors += 1;
-                    reference.class_accumulators[label as usize].add(hv);
-                    reference.class_accumulators[predicted as usize].sub(hv);
-                    reference.class_memory.set(
-                        label as usize,
-                        &reference.class_accumulators[label as usize].to_hypervector(tie),
-                    );
-                    reference.class_memory.set(
-                        predicted as usize,
-                        &reference.class_accumulators[predicted as usize].to_hypervector(tie),
+        for classes in [2usize, 5] {
+            // A hard (non-separable at this dimension) task so retraining
+            // makes many updates: class `c` is an Erdős–Rényi graph with
+            // `c + 3` planted triangles (none for class 0).
+            let mut rng = Xoshiro256PlusPlus::seed_from_u64(31);
+            let mut graphs = Vec::new();
+            let mut labels = Vec::new();
+            for i in 0..30 * classes {
+                let class = i % classes;
+                let base = generate::erdos_renyi(16, 0.2, &mut rng).expect("valid p");
+                if class == 0 {
+                    graphs.push(base);
+                } else {
+                    graphs.push(
+                        generate::with_planted_triangles(&base, class + 3, &mut rng)
+                            .expect("n >= 3"),
                     );
                 }
+                labels.push(class as u32);
             }
-            reference_errors.push(errors);
-            if errors == 0 {
-                break;
-            }
-        }
+            let config = GraphHdConfig::builder()
+                .dim(1024)
+                .build()
+                .expect("valid dimension");
+            let encoder = crate::GraphEncoder::new(config).expect("valid config");
+            let encodings = encoder.encode_all(&graphs);
 
-        for threads in [1usize, 2, 3, 8] {
-            let pooled = encoder
-                .clone()
-                .with_pool(Arc::new(Pool::with_threads(threads)));
-            let mut model = GraphHdModel::fit_encoded(pooled, &encodings, &labels, 2);
-            let report = model.retrain(&encodings, &labels, 8);
-            assert_eq!(
-                report.epoch_errors, reference_errors,
-                "epoch errors diverged at {threads} threads"
-            );
-            assert_eq!(
-                model.class_vectors(),
-                reference.class_vectors(),
-                "class vectors diverged at {threads} threads"
-            );
+            // Serial reference: the plain perceptron loop, verbatim.
+            let mut reference =
+                GraphHdModel::fit_encoded(encoder.clone(), &encodings, &labels, classes);
+            let tie = config.tie_break;
+            let mut reference_errors = Vec::new();
+            for _ in 0..8 {
+                let mut errors = 0usize;
+                for (hv, &label) in encodings.iter().zip(&labels) {
+                    let predicted = reference.predict_encoded(hv);
+                    if predicted != label {
+                        errors += 1;
+                        reference.class_accumulators[label as usize].add(hv);
+                        reference.class_accumulators[predicted as usize].sub(hv);
+                        reference.class_memory.set(
+                            label as usize,
+                            &reference.class_accumulators[label as usize].to_hypervector(tie),
+                        );
+                        reference.class_memory.set(
+                            predicted as usize,
+                            &reference.class_accumulators[predicted as usize].to_hypervector(tie),
+                        );
+                    }
+                }
+                reference_errors.push(errors);
+                if errors == 0 {
+                    break;
+                }
+            }
+            assert!(reference_errors[0] > 0, "classes {classes}: task too easy");
+
+            for threads in [1usize, 2, 3, 8] {
+                let pooled = encoder
+                    .clone()
+                    .with_pool(Arc::new(Pool::with_threads(threads)));
+                let mut model = GraphHdModel::fit_encoded(pooled, &encodings, &labels, classes);
+                let report = model.retrain(&encodings, &labels, 8);
+                assert_eq!(
+                    report.epoch_errors, reference_errors,
+                    "epoch errors diverged at {classes} classes, {threads} threads"
+                );
+                assert_eq!(
+                    model.class_vectors(),
+                    reference.class_vectors(),
+                    "class vectors diverged at {classes} classes, {threads} threads"
+                );
+            }
         }
     }
 

@@ -350,6 +350,8 @@ mod tests {
             }
             assert_eq!(model.classify(&query), best_class);
         }
+        let serial: Vec<u32> = graphs.iter().map(|g| model.predict(g)).collect();
+        assert_eq!(model.predict_batch(&graphs), serial);
     }
 
     #[test]
