@@ -8,10 +8,6 @@ use parallel::Pool;
 use std::borrow::Borrow;
 use std::sync::Arc;
 
-/// Scoring one query against the class vectors is cheap (a few popcount
-/// sweeps), so prediction maps batch several queries per stealable unit.
-const PREDICT_MIN_CHUNK: usize = 8;
-
 /// Outcome of a [`GraphHdModel::retrain`] run: mistakes per epoch.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RetrainReport {
@@ -252,13 +248,15 @@ impl GraphHdModel {
         self.predict_encoded(&self.encoder.encode(graph))
     }
 
-    /// Predicts many graphs: encoding and scoring both run in parallel on
-    /// the model's pool. Accepts both `&[Graph]` and `&[&Graph]`; the
-    /// result is identical to mapping [`predict`](Self::predict).
+    /// Predicts many graphs in one parallel region on the model's pool,
+    /// one task per graph that encodes and decides it. Accepts both
+    /// `&[Graph]` and `&[&Graph]`; the result is identical to mapping
+    /// [`predict`](Self::predict).
     #[must_use]
     pub fn predict_all<G: Borrow<Graph> + Sync>(&self, graphs: &[G]) -> Vec<u32> {
-        let encodings = self.encoder.encode_all(graphs);
-        self.predict_encoded_all(&encodings)
+        self.encoder
+            .pool()
+            .par_map(graphs, |g| self.predict(g.borrow()))
     }
 
     /// Predicts a batch of owned graphs — the ergonomic entry point for
@@ -269,35 +267,11 @@ impl GraphHdModel {
         self.predict_all(graphs)
     }
 
-    /// Scores and classifies many already-encoded queries: parallel over
-    /// queries on the model's pool, blocked+SIMD within each query via
-    /// [`ClassMemory`].
-    #[must_use]
-    pub fn predict_encoded_all(&self, queries: &[Hypervector]) -> Vec<u32> {
-        self.encoder
-            .pool()
-            .par_map_chunked(queries, PREDICT_MIN_CHUNK, |hv| self.predict_encoded(hv))
-    }
-
     /// The retraining extension (Section VII, direction 1): perceptron-
     /// style refinement. For each epoch, every mispredicted training
     /// sample is *added* to its true class accumulator and *subtracted*
-    /// from the wrongly predicted one; class vectors are re-thresholded
-    /// after each mistake.
-    ///
-    /// The training loop is inherently sequential (each update changes
-    /// the model the next sample is scored against), so parallelism here
-    /// is *speculative*: a block of queries is scored concurrently against
-    /// the frozen model, the predictions are consumed in order, and on the
-    /// first mistake the rest of the block is discarded and re-scored
-    /// against the updated model. The block size adapts — it resets to 1
-    /// after a block containing a mistake and doubles after each clean
-    /// block — so dense-error phases (early epochs) cost the same as the
-    /// plain serial loop while sparse-error phases speculate at full
-    /// width; on a 1-thread pool the width is pinned to 1 (speculation
-    /// can never pay there). The sequence of updates — and therefore the
-    /// report and the final model — is bit-identical to the serial loop
-    /// at every thread count.
+    /// from the wrongly predicted one; those two class vectors are
+    /// re-thresholded before the next sample is scored.
     ///
     /// Returns the per-epoch mistake counts. Stops early when an epoch is
     /// mistake-free.
@@ -317,55 +291,20 @@ impl GraphHdModel {
             "label out of range"
         );
         let tie = self.encoder.config().tie_break;
-        let threads = self.encoder.pool().threads();
-        let max_speculation = if threads <= 1 {
-            1
-        } else {
-            (threads * PREDICT_MIN_CHUNK).max(16)
-        };
         let mut epoch_errors = Vec::with_capacity(epochs);
         for _ in 0..epochs {
             let mut errors = 0usize;
-            let mut index = 0usize;
-            // Window of 1 is exactly the serial loop; it widens only while
-            // predictions keep coming back correct.
-            let mut window = 1usize;
-            while index < encodings.len() {
-                let end = usize::min(index + window, encodings.len());
-                let predictions = self.predict_encoded_all(&encodings[index..end]);
-                let mut advanced = end;
-                let mut block_was_clean = true;
-                for (offset, predicted) in predictions.into_iter().enumerate() {
-                    let sample = index + offset;
-                    let label = labels[sample];
-                    if predicted != label {
-                        errors += 1;
-                        let hv = &encodings[sample];
-                        self.class_accumulators[label as usize].add(hv);
-                        self.class_accumulators[predicted as usize].sub(hv);
-                        // Re-threshold the two touched classes and write
-                        // them back into their scoring lanes.
-                        self.class_memory.set(
-                            label as usize,
-                            &self.class_accumulators[label as usize].to_hypervector(tie),
-                        );
-                        self.class_memory.set(
-                            predicted as usize,
-                            &self.class_accumulators[predicted as usize].to_hypervector(tie),
-                        );
-                        // The model changed: predictions speculated past
-                        // this sample are stale. Resume after it.
-                        advanced = sample + 1;
-                        block_was_clean = false;
-                        break;
+            for (hv, &label) in encodings.iter().zip(labels) {
+                let predicted = self.predict_encoded(hv);
+                if predicted != label {
+                    errors += 1;
+                    self.class_accumulators[label as usize].add(hv);
+                    self.class_accumulators[predicted as usize].sub(hv);
+                    for class in [label as usize, predicted as usize] {
+                        self.class_memory
+                            .set(class, &self.class_accumulators[class].to_hypervector(tie));
                     }
                 }
-                window = if block_was_clean {
-                    (window * 2).min(max_speculation)
-                } else {
-                    1
-                };
-                index = advanced;
             }
             crate::metrics::metrics().retrain_epochs.inc();
             crate::metrics::metrics()

@@ -209,15 +209,15 @@ impl MultiPrototypeModel {
         self.classify(&self.encoder.encode(graph))
     }
 
-    /// Predicts many graphs, encoding and scoring in parallel on the
-    /// encoder's pool (blocked+SIMD within each query). Accepts both
-    /// `&[Graph]` and `&[&Graph]`.
+    /// Predicts many graphs in one parallel region on the encoder's pool,
+    /// one task per graph that encodes and decides it. Accepts both
+    /// `&[Graph]` and `&[&Graph]`; the result is identical to mapping
+    /// [`predict`](Self::predict).
     #[must_use]
     pub fn predict_all<G: Borrow<Graph> + Sync>(&self, graphs: &[G]) -> Vec<u32> {
-        let encodings = self.encoder.encode_all(graphs);
         self.encoder
             .pool()
-            .par_map_chunked(&encodings, 8, |hv| self.classify(hv))
+            .par_map(graphs, |g| self.predict(g.borrow()))
     }
 
     /// Batch prediction over owned graphs (see

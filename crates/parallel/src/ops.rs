@@ -19,21 +19,10 @@ impl Pool {
         R: Send,
         F: Fn(&T) -> R + Sync,
     {
-        self.par_map_chunked(items, 1, f)
-    }
-
-    /// [`par_map`](Self::par_map) with a minimum chunk size, for maps whose
-    /// per-item cost is too small to justify per-item scheduling.
-    pub fn par_map_chunked<T, R, F>(&self, items: &[T], min_chunk: usize, f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&T) -> R + Sync,
-    {
         // Out-of-order chunk results, keyed by the chunk's starting index
         // so input order can be restored.
         let pieces: Mutex<Vec<(usize, Vec<R>)>> = Mutex::new(Vec::new());
-        self.par_for_ranges(items.len(), min_chunk, |range: Range<usize>| {
+        self.par_for_ranges(items.len(), 1, |range: Range<usize>| {
             let mapped: Vec<R> = items[range.clone()].iter().map(&f).collect();
             pieces
                 .lock()
@@ -95,16 +84,6 @@ mod tests {
                 "threads {threads}"
             );
         }
-    }
-
-    #[test]
-    fn par_map_chunked_matches_par_map() {
-        let pool = Pool::with_threads(4);
-        let items: Vec<u32> = (0..500).collect();
-        assert_eq!(
-            pool.par_map_chunked(&items, 64, |&x| x + 1),
-            pool.par_map(&items, |&x| x + 1)
-        );
     }
 
     #[test]

@@ -32,7 +32,6 @@ proptest! {
             let serial: Vec<u64> = slice.iter().map(f).collect();
             for pool in &pools {
                 prop_assert_eq!(&pool.par_map(slice, f), &serial, "len {} threads {}", len, pool.threads());
-                prop_assert_eq!(&pool.par_map_chunked(slice, 37, f), &serial, "chunked len {}", len);
             }
         }
     }

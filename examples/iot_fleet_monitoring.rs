@@ -69,6 +69,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
              (mistakes per epoch: {:?})",
             report.epoch_errors
         );
+        assert!(report.converged(), "round {round} did not converge");
+        assert!(after >= before, "round {round}: retraining lost accuracy");
     }
 
     // Fault injection: flip 10% of the class-vector bits, as if the
@@ -77,6 +79,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let clean = accuracy(&model, &eval_graphs, &eval_labels);
     let noisy = noise::accuracy_under_model_noise(&model, &eval_graphs, &eval_labels, 0.10, 7);
     println!("\nfresh-traffic accuracy: clean {clean:.2}, with 10% flipped bits {noisy:.2}");
+    assert!(
+        noisy >= clean - 0.1,
+        "10% flipped bits cost more than 0.1 accuracy"
+    );
     println!("holographic representations degrade gracefully — the HDC robustness claim.");
     Ok(())
 }

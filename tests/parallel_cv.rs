@@ -57,8 +57,9 @@ fn parallel_cv_reproduces_the_serial_report_for_graphhd_on_surrogate_mutag() {
 
 #[test]
 fn retraining_classifier_is_also_reproduced_in_parallel() {
-    // Retraining makes fit order-sensitive *within* a fold; the
-    // speculative parallel retraining must keep that sequence exact.
+    // Retraining makes fit order-sensitive *within* a fold; it is a
+    // serial loop over the fold's encodings, and the parallel folds must
+    // reproduce that sequence exactly.
     let dataset = surrogate::generate_surrogate_sized(
         surrogate::spec_by_name("MUTAG").expect("known dataset"),
         23,
