@@ -1122,6 +1122,84 @@ mod tests {
     }
 
     #[test]
+    fn classify_batch_matches_predict_at_many_classes() {
+        // 75 classes at d = 1,000: the last 8-lane block holds three
+        // classes and the last word 40 bits. Classes 2/73 (different
+        // blocks, the higher one in the partial block) and 40/44 (one
+        // block) are twins, so queries equal to them tie at distance 0.
+        let config = GraphHdConfig::builder()
+            .dim(1000)
+            .build()
+            .expect("valid dimension");
+        let encoder = graphhd::GraphEncoder::new(config).expect("valid config");
+        let mut rng = prng::Xoshiro256PlusPlus::seed_from_u64(75);
+        let mut random_graph = || generate::erdos_renyi(9, 0.35, &mut rng).expect("valid p");
+        let class_graphs: Vec<Graph> = (0..75).map(|_| random_graph()).collect();
+        let encodings: Vec<_> = (0..75)
+            .map(|class| {
+                let source = match class {
+                    73 => 2,
+                    44 => 40,
+                    other => other,
+                };
+                encoder.encode(&class_graphs[source])
+            })
+            .collect();
+        let labels: Vec<u32> = (0..75).collect();
+        let model = GraphHdModel::fit_encoded(encoder, &encodings, &labels, 75);
+        // The twin graphs first, then class graphs and unseen graphs
+        // alternating.
+        let mut queries: Vec<Graph> = [2, 40, 73, 44]
+            .iter()
+            .map(|&class| class_graphs[class].clone())
+            .collect();
+        for class in (4..64).step_by(2) {
+            queries.push(class_graphs[class].clone());
+            queries.push(random_graph());
+        }
+        let expected: Vec<u32> = queries.iter().map(|g| model.predict(g)).collect();
+        assert_eq!(&expected[..2], &[2, 40], "twins tie to the lower id");
+        let expected_scores: Vec<Vec<u64>> = queries
+            .iter()
+            .map(|g| model.scores(g).iter().map(|s| s.to_bits()).collect())
+            .collect();
+
+        for threads in [1usize, 2, 3, 8] {
+            let engine = Engine::builder()
+                .threads(threads)
+                .from_model(model.clone())
+                .expect("valid knobs");
+            let done = AtomicBool::new(false);
+            std::thread::scope(|scope| {
+                // `Scores` requests race the batches below, so both kinds
+                // of work share dispatched batches.
+                let scorer = scope.spawn(|| {
+                    let mut served = 0usize;
+                    while served == 0 || !done.load(Ordering::Acquire) {
+                        for (query, expected) in queries.iter().zip(&expected_scores).step_by(3) {
+                            let scores = engine.scores(query).expect("engine alive");
+                            let bits: Vec<u64> = scores.iter().map(|s| s.to_bits()).collect();
+                            assert_eq!(&bits, expected, "scores at {threads} threads");
+                            served += 1;
+                        }
+                    }
+                });
+                for batch in [1usize, 7, 8, 9, 33, 64] {
+                    assert_eq!(
+                        engine
+                            .classify_batch(&queries[..batch])
+                            .expect("engine alive"),
+                        &expected[..batch],
+                        "batch {batch} at {threads} threads"
+                    );
+                }
+                done.store(true, Ordering::Release);
+                scorer.join().expect("scorer thread");
+            });
+        }
+    }
+
+    #[test]
     fn with_encoder_survives_fit_and_snapshot_restore() {
         let (graphs, labels) = toy();
         let kind = EncoderKind::EdgeWeighted { weight_cap: 3 };

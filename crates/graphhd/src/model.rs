@@ -750,6 +750,55 @@ mod tests {
     }
 
     #[test]
+    fn predict_all_matches_predict_at_many_classes() {
+        // 75 classes at d = 1,000: a partial last block and a partial
+        // last word. Classes 2/73 and 40/44 are twins.
+        use parallel::Pool;
+        let config = GraphHdConfig::builder()
+            .dim(1000)
+            .build()
+            .expect("valid dimension");
+        let encoder = GraphEncoder::new(config).expect("valid config");
+        let mut rng = Xoshiro256PlusPlus::seed_from_u64(75);
+        let mut random_graph = || generate::erdos_renyi(9, 0.35, &mut rng).expect("valid p");
+        let class_graphs: Vec<Graph> = (0..75).map(|_| random_graph()).collect();
+        let encodings: Vec<Hypervector> = (0..75)
+            .map(|class| {
+                let source = match class {
+                    73 => 2,
+                    44 => 40,
+                    other => other,
+                };
+                encoder.encode(&class_graphs[source])
+            })
+            .collect();
+        let labels: Vec<u32> = (0..75).collect();
+        let mut graphs: Vec<Graph> = [2, 40, 73, 44]
+            .iter()
+            .map(|&class| class_graphs[class].clone())
+            .collect();
+        for class in (4..64).step_by(2) {
+            graphs.push(class_graphs[class].clone());
+            graphs.push(random_graph());
+        }
+        for threads in [1usize, 2, 3, 8] {
+            let pooled = encoder
+                .clone()
+                .with_pool(Arc::new(Pool::with_threads(threads)));
+            let model = GraphHdModel::fit_encoded(pooled, &encodings, &labels, 75);
+            let expected: Vec<u32> = graphs.iter().map(|g| model.predict(g)).collect();
+            assert_eq!(&expected[..2], &[2, 40], "twins tie to the lower id");
+            for count in [0usize, 1, 7, 8, 9, 33, 64] {
+                assert_eq!(
+                    model.predict_all(&graphs[..count]),
+                    &expected[..count],
+                    "{count} graphs at {threads} threads"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn noise_injection_keeps_dimensions() {
         let (model, _, _) = fit_toy(1024);
         let mut rng = Xoshiro256PlusPlus::seed_from_u64(1);
