@@ -14,9 +14,12 @@
 //!   batch as a [`parallel::Pool`] region, so concurrent requests are
 //!   amortized over one parallel sweep exactly like offline batch
 //!   prediction;
-//! - each request is answered by [`GraphHdModel::predict`] or
-//!   [`GraphHdModel::scores`], so the engine and offline prediction share
-//!   one decision rule on the blocked+SIMD `hdvec::ClassMemory` scan;
+//! - each request is answered with the label of [`GraphHdModel::predict`]
+//!   (a batch's classify requests are decided together by
+//!   [`GraphHdModel::predict_many`], one tiled class scan per pool range)
+//!   or with [`GraphHdModel::scores`], so the engine and offline
+//!   prediction share one decision rule on the blocked+SIMD
+//!   `hdvec::ClassMemory` scan;
 //! - [`Engine::shutdown`] (and dropping the last handle) closes the
 //!   queue, **drains** every request already accepted, then joins the
 //!   dispatcher — accepted work is never dropped;
@@ -520,9 +523,11 @@ impl Shared {
         }
     }
 
-    /// Answers one batch on the model's pool: `Classify` through
-    /// [`GraphHdModel::predict`], `Scores` through
-    /// [`GraphHdModel::scores`].
+    /// Answers one batch on the model's pool. In each pool range the
+    /// `Classify` requests are encoded, then decided together by one
+    /// [`GraphHdModel::predict_many`] call, so they share tiled class
+    /// scans; `Scores` requests go through [`GraphHdModel::scores`] one
+    /// by one. Labels are those of [`GraphHdModel::predict`].
     fn run_batch(&self, batch: &[&Request]) {
         let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
             let model = &self.model;
@@ -530,12 +535,18 @@ impl Shared {
                 .encoder()
                 .pool()
                 .par_for_ranges(batch.len(), 1, |range| {
-                    for request in &batch[range] {
-                        let response = match request.work {
-                            Work::Classify => Response::Class(model.predict(&request.graph)),
-                            Work::Scores => Response::Scores(model.scores(&request.graph)),
-                        };
-                        request.finish(Ok(response));
+                    let mut classify = Vec::new();
+                    for &request in &batch[range] {
+                        match request.work {
+                            Work::Classify => classify.push(request),
+                            Work::Scores => {
+                                request.finish(Ok(Response::Scores(model.scores(&request.graph))))
+                            }
+                        }
+                    }
+                    let graphs: Vec<&Graph> = classify.iter().map(|r| &r.graph).collect();
+                    for (request, class) in classify.iter().zip(model.predict_many(&graphs)) {
+                        request.finish(Ok(Response::Class(class)));
                     }
                 });
         }));

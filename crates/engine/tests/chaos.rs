@@ -362,7 +362,7 @@ fn mixed_faults_at_every_engine_fail_point_reconcile_across_seeds() {
                         (0..12)
                             .map(|i: usize| {
                                 let graph = &graphs[(submitter + i) % graphs.len()];
-                                if i % 3 == 0 {
+                                if i.is_multiple_of(3) {
                                     engine.classify_within(graph, Duration::from_millis(50))
                                 } else {
                                     engine.classify(graph)

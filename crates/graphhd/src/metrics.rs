@@ -17,8 +17,8 @@ pub struct ModelMetrics {
     /// Graphs run through [`GraphEncoder::encode`](crate::GraphEncoder::encode)
     /// — training, serving and batch paths all funnel through it.
     pub graphs_encoded: Counter,
-    /// Single-query predictions scored (every `predict*` path lands on
-    /// `predict_encoded`).
+    /// Predictions decided, one per graph or query (`predict_encoded`
+    /// counts one, `predict_many` one per graph of its batch).
     pub predictions: Counter,
     /// Models trained (`fit_encoded` completions).
     pub fits: Counter,
@@ -57,7 +57,7 @@ pub fn register_into(registry: &Registry) {
     );
     registry.register_counter(
         "graphhd_predictions",
-        "Single-query predictions scored",
+        "Predictions decided, one per graph",
         &m.predictions,
     );
     registry.register_counter("graphhd_fits", "Models trained", &m.fits);

@@ -2,8 +2,8 @@
 //!
 //! Every similarity, bundling and packing operation in this crate reduces
 //! to a handful of bulk kernels over `u64` words (XOR+popcount, signed
-//! counter updates, thresholding, sign packing). This module provides two
-//! implementations of each:
+//! counter updates, thresholding, sign packing). This module provides
+//! three implementations:
 //!
 //! - **Scalar** — portable Rust, the *source of truth*. The popcount
 //!   kernels use an unrolled Harley–Seal carry-save-adder tree (16 words
@@ -13,14 +13,20 @@
 //! - **Avx2** — `std::arch` intrinsics (AVX2 + POPCNT, via the positional
 //!   nibble-lookup popcount of Muła et al.), selected at runtime with
 //!   `is_x86_feature_detected!`.
+//! - **Avx512** — selected when AVX-512F and AVX512-VPOPCNTDQ are
+//!   detected on top of AVX2 + POPCNT. Its class-scan kernel
+//!   ([`Backend::hamming_tile`]) is a native `vpopcntq` over one whole
+//!   8-lane block per 512-bit register; every other kernel runs the AVX2
+//!   code.
 //!
 //! Dispatch happens once per process: [`Backend::active`] caches the
 //! detected backend, and setting the environment variable
 //! `GRAPHHD_FORCE_SCALAR` (to anything but `0` or the empty string)
 //! pins the scalar reference — the differential-testing and
-//! benchmarking switch. Tests compare backends directly by value:
-//! [`Backend::scalar`] versus every entry of [`Backend::available`], so
-//! they do not depend on process-global environment state.
+//! benchmarking switch. Tests and benches compare backends directly by
+//! value: [`Backend::scalar`] versus every entry of
+//! [`Backend::available`], so they do not depend on process-global
+//! environment state.
 //!
 //! The SIMD paths are required to be **bit-identical** to the scalar
 //! reference for every input; `tests/backend_differential.rs` enforces
@@ -36,8 +42,14 @@ use std::sync::OnceLock;
 
 /// Number of vectors interleaved per block by
 /// [`ClassMemory`](crate::ClassMemory); the block kernels below are
-/// written against this width (8 × u64 = two 256-bit lanes).
+/// written against this width (8 × u64 = two 256-bit or one 512-bit
+/// register).
 pub const BLOCK_LANES: usize = 8;
+
+/// Most queries one [`Backend::hamming_tile`] call scores against a
+/// block: the tile's `TILE_QUERIES × BLOCK_LANES` distance accumulators
+/// stay in registers while the block streams past them once.
+pub const TILE_QUERIES: usize = 8;
 
 /// Tie-resolution input for the [`Backend::threshold`] kernel: for each
 /// 64-counter chunk, the word whose bits decide zero-count dimensions.
@@ -65,11 +77,13 @@ enum Kind {
     Scalar,
     #[cfg(target_arch = "x86_64")]
     Avx2,
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
 }
 
 /// A kernel implementation selected at runtime.
 ///
-/// The inner kind is private so that the AVX2 variant can only be
+/// The inner kind is private so that the SIMD variants can only be
 /// obtained through [`Backend::detect`] / [`Backend::available`], both of
 /// which verify the CPU features first — that containment is what makes
 /// the `unsafe` intrinsic calls below sound.
@@ -89,20 +103,33 @@ impl Backend {
         #[cfg(target_arch = "x86_64")]
         {
             if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("popcnt") {
+                if is_x86_feature_detected!("avx512f")
+                    && is_x86_feature_detected!("avx512vpopcntdq")
+                {
+                    return Backend(Kind::Avx512);
+                }
                 return Backend(Kind::Avx2);
             }
         }
         Backend(Kind::Scalar)
     }
 
-    /// Every backend usable on the running CPU, scalar first — the
-    /// iteration set for differential tests.
+    /// Every backend usable on the running CPU — scalar, then AVX2, then
+    /// AVX-512 — the iteration set for differential tests and kernel
+    /// benches. An AVX-512 host lists AVX2 too, since the AVX-512
+    /// features are only detected on top of it.
     #[must_use]
     pub fn available() -> Vec<Backend> {
         let mut backends = vec![Backend::scalar()];
-        let best = Backend::detect();
-        if best != Backend::scalar() {
-            backends.push(best);
+        #[cfg(target_arch = "x86_64")]
+        {
+            let best = Backend::detect();
+            if best != Backend::scalar() {
+                backends.push(Backend(Kind::Avx2));
+            }
+            if best.0 == Kind::Avx512 {
+                backends.push(best);
+            }
         }
         backends
     }
@@ -119,13 +146,15 @@ impl Backend {
         })
     }
 
-    /// A short human-readable name (`"scalar"` / `"avx2"`).
+    /// A short human-readable name (`"scalar"` / `"avx2"` / `"avx512"`).
     #[must_use]
     pub fn name(self) -> &'static str {
         match self.0 {
             Kind::Scalar => "scalar",
             #[cfg(target_arch = "x86_64")]
             Kind::Avx2 => "avx2",
+            #[cfg(target_arch = "x86_64")]
+            Kind::Avx512 => "avx512",
         }
     }
 
@@ -147,9 +176,10 @@ impl Backend {
         match self.0 {
             Kind::Scalar => scalar::hamming(a, b),
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: `Kind::Avx2` values are only created by `detect()`
-            // after `is_x86_feature_detected!` confirmed AVX2 and POPCNT.
-            Kind::Avx2 => unsafe { avx2::hamming(a, b) },
+            // SAFETY: `Kind::Avx2` and `Kind::Avx512` values are only
+            // created by `detect()` / `available()` after
+            // `is_x86_feature_detected!` confirmed AVX2 and POPCNT.
+            Kind::Avx2 | Kind::Avx512 => unsafe { avx2::hamming(a, b) },
         }
     }
 
@@ -159,8 +189,8 @@ impl Backend {
         match self.0 {
             Kind::Scalar => scalar::popcount(words),
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: `Kind::Avx2` implies runtime-verified AVX2+POPCNT.
-            Kind::Avx2 => unsafe { avx2::popcount(words) },
+            // SAFETY: both SIMD kinds imply runtime-verified AVX2+POPCNT.
+            Kind::Avx2 | Kind::Avx512 => unsafe { avx2::popcount(words) },
         }
     }
 
@@ -174,8 +204,8 @@ impl Backend {
         match self.0 {
             Kind::Scalar => scalar::xor_assign(dst, src),
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: `Kind::Avx2` implies runtime-verified AVX2+POPCNT.
-            Kind::Avx2 => unsafe { avx2::xor_assign(dst, src) },
+            // SAFETY: both SIMD kinds imply runtime-verified AVX2+POPCNT.
+            Kind::Avx2 | Kind::Avx512 => unsafe { avx2::xor_assign(dst, src) },
         }
     }
 
@@ -197,8 +227,8 @@ impl Backend {
         match self.0 {
             Kind::Scalar => scalar::add_weighted(counts, words, weight),
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: `Kind::Avx2` implies runtime-verified AVX2+POPCNT.
-            Kind::Avx2 => unsafe { avx2::add_weighted(counts, words, weight) },
+            // SAFETY: both SIMD kinds imply runtime-verified AVX2+POPCNT.
+            Kind::Avx2 | Kind::Avx512 => unsafe { avx2::add_weighted(counts, words, weight) },
         }
     }
 
@@ -222,8 +252,8 @@ impl Backend {
         match self.0 {
             Kind::Scalar => scalar::threshold(counts, tie),
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: `Kind::Avx2` implies runtime-verified AVX2+POPCNT.
-            Kind::Avx2 => unsafe { avx2::threshold(counts, tie) },
+            // SAFETY: both SIMD kinds imply runtime-verified AVX2+POPCNT.
+            Kind::Avx2 | Kind::Avx512 => unsafe { avx2::threshold(counts, tie) },
         }
     }
 
@@ -237,33 +267,73 @@ impl Backend {
         match self.0 {
             Kind::Scalar => scalar::pack_components(components),
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: `Kind::Avx2` implies runtime-verified AVX2+POPCNT.
-            Kind::Avx2 => unsafe { avx2::pack_components(components) },
+            // SAFETY: both SIMD kinds imply runtime-verified AVX2+POPCNT.
+            Kind::Avx2 | Kind::Avx512 => unsafe { avx2::pack_components(components) },
         }
     }
 
-    /// The multi-query building block: accumulates, for each of the
+    /// The class-scan kernel: for each query of a tile and each of the
     /// [`BLOCK_LANES`] vectors interleaved in `block`
     /// (`block[w * BLOCK_LANES + lane]` is word `w` of vector `lane`),
-    /// the XOR-popcount against `query` into `acc`. Each query word is
-    /// loaded once and streamed across all lanes.
+    /// accumulates the XOR-popcount into `acc[query][lane]`. The SIMD
+    /// backends load each block word once for the whole tile and keep
+    /// the `queries.len() × BLOCK_LANES` sums in registers; a tile of one
+    /// query is the single-query scan.
     ///
     /// # Panics
     ///
-    /// Panics if `block.len() != query.len() * BLOCK_LANES`.
-    pub fn hamming_block(self, query: &[u64], block: &[u64], acc: &mut [u64; BLOCK_LANES]) {
+    /// Panics if `acc` does not hold one row per query, the tile holds
+    /// more than [`TILE_QUERIES`] queries, or a query does not have
+    /// `block.len() / BLOCK_LANES` words.
+    pub fn hamming_tile(self, queries: &[&[u64]], block: &[u64], acc: &mut [[u64; BLOCK_LANES]]) {
         assert_eq!(
-            block.len(),
-            query.len() * BLOCK_LANES,
-            "interleaved block must hold BLOCK_LANES words per query word"
+            queries.len(),
+            acc.len(),
+            "hamming tile needs one accumulator row per query"
         );
+        assert!(
+            queries.len() <= TILE_QUERIES,
+            "a hamming tile holds at most {TILE_QUERIES} queries"
+        );
+        for query in queries {
+            assert_eq!(
+                block.len(),
+                query.len() * BLOCK_LANES,
+                "interleaved block must hold BLOCK_LANES words per query word"
+            );
+        }
         match self.0 {
-            Kind::Scalar => scalar::hamming_block(query, block, acc),
+            Kind::Scalar => scalar::hamming_tile(queries, block, acc),
             #[cfg(target_arch = "x86_64")]
             // SAFETY: `Kind::Avx2` implies runtime-verified AVX2+POPCNT.
-            Kind::Avx2 => unsafe { avx2::hamming_block(query, block, acc) },
+            Kind::Avx2 => unsafe { avx2::hamming_tile(queries, block, acc) },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `Kind::Avx512` implies runtime-verified AVX-512F and
+            // AVX512-VPOPCNTDQ.
+            Kind::Avx512 => unsafe { avx512::hamming_tile(queries, block, acc) },
         }
     }
+}
+
+/// Expands to a `match` on the tile size that calls the const-generic
+/// `$tile::<Q>` kernel with `Q = queries.len()` (at most
+/// [`TILE_QUERIES`]), so every tile size keeps its own fixed set of
+/// register accumulators.
+#[cfg(target_arch = "x86_64")]
+macro_rules! by_tile_size {
+    ($tile:ident($queries:expr, $block:expr, $acc:expr)) => {
+        match $queries.len() {
+            0 => {}
+            1 => $tile::<1>($queries, $block, $acc),
+            2 => $tile::<2>($queries, $block, $acc),
+            3 => $tile::<3>($queries, $block, $acc),
+            4 => $tile::<4>($queries, $block, $acc),
+            5 => $tile::<5>($queries, $block, $acc),
+            6 => $tile::<6>($queries, $block, $acc),
+            7 => $tile::<7>($queries, $block, $acc),
+            _ => $tile::<{ super::TILE_QUERIES }>($queries, $block, $acc),
+        }
+    };
 }
 
 /// Portable reference kernels. Exact by construction; every other backend
@@ -409,11 +479,15 @@ mod scalar {
         Ok(words)
     }
 
-    pub fn hamming_block(query: &[u64], block: &[u64], acc: &mut [u64; BLOCK_LANES]) {
-        for (w, &q) in query.iter().enumerate() {
-            let base = w * BLOCK_LANES;
-            for (lane, slot) in acc.iter_mut().enumerate() {
-                *slot += u64::from((q ^ block[base + lane]).count_ones());
+    /// One query at a time: the reference the tiled SIMD kernels must
+    /// reproduce.
+    pub fn hamming_tile(queries: &[&[u64]], block: &[u64], acc: &mut [[u64; BLOCK_LANES]]) {
+        for (query, row) in queries.iter().zip(acc) {
+            for (w, &q) in query.iter().enumerate() {
+                let base = w * BLOCK_LANES;
+                for (lane, slot) in row.iter_mut().enumerate() {
+                    *slot += u64::from((q ^ block[base + lane]).count_ones());
+                }
             }
         }
     }
@@ -664,16 +738,30 @@ mod avx2 {
     /// # Safety
     ///
     /// The caller must have verified at runtime that the CPU supports
-    /// AVX2 and POPCNT, and `block` must hold [`BLOCK_LANES`] words per
-    /// query word (`block.len() >= BLOCK_LANES * query.len()`).
+    /// AVX2 and POPCNT. The tile size and shapes are checked by
+    /// [`Backend::hamming_tile`](super::Backend::hamming_tile).
     #[target_feature(enable = "avx2,popcnt")]
-    pub unsafe fn hamming_block(query: &[u64], block: &[u64], acc: &mut [u64; BLOCK_LANES]) {
-        let mut acc_lo = _mm256_setzero_si256();
-        let mut acc_hi = _mm256_setzero_si256();
-        for (w, &q) in query.iter().enumerate() {
-            let vq = _mm256_set1_epi64x(q as i64);
+    pub unsafe fn hamming_tile(queries: &[&[u64]], block: &[u64], acc: &mut [[u64; BLOCK_LANES]]) {
+        by_tile_size!(tile(queries, block, acc));
+    }
+
+    /// Scores `Q` queries against one block: per block word, the two
+    /// 4-lane halves are loaded once and each query's broadcast word is
+    /// XOR-popcounted against both into its own pair of accumulators.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn tile<const Q: usize>(queries: &[&[u64]], block: &[u64], acc: &mut [[u64; BLOCK_LANES]]) {
+        let words = block.len() / BLOCK_LANES;
+        // Re-sliced to `words`, so the per-word query reads need no
+        // bounds checks.
+        let mut tile: [&[u64]; Q] = [&[]; Q];
+        for (slot, query) in tile.iter_mut().zip(queries) {
+            *slot = &query[..words];
+        }
+        let mut sums = [[_mm256_setzero_si256(); 2]; Q];
+        for w in 0..words {
             let base = w * BLOCK_LANES;
-            // SAFETY: the caller guarantees `base + BLOCK_LANES <=
+            // SAFETY: `base + BLOCK_LANES <= words * BLOCK_LANES <=
             // block.len()`, so both 4-word loads stay inside `block`.
             let (lo, hi) = unsafe {
                 (
@@ -681,18 +769,80 @@ mod avx2 {
                     _mm256_loadu_si256(block.as_ptr().add(base + 4).cast()),
                 )
             };
-            acc_lo = _mm256_add_epi64(acc_lo, popcnt256(_mm256_xor_si256(vq, lo)));
-            acc_hi = _mm256_add_epi64(acc_hi, popcnt256(_mm256_xor_si256(vq, hi)));
+            for (sum, query) in sums.iter_mut().zip(&tile) {
+                let vq = _mm256_set1_epi64x(query[w] as i64);
+                sum[0] = _mm256_add_epi64(sum[0], popcnt256(_mm256_xor_si256(vq, lo)));
+                sum[1] = _mm256_add_epi64(sum[1], popcnt256(_mm256_xor_si256(vq, hi)));
+            }
         }
-        let mut lanes = [0u64; BLOCK_LANES];
-        // SAFETY: `lanes` is exactly `BLOCK_LANES == 8` words, so the
-        // two 4-word stores exactly tile it.
-        unsafe {
-            _mm256_storeu_si256(lanes.as_mut_ptr().cast(), acc_lo);
-            _mm256_storeu_si256(lanes.as_mut_ptr().add(4).cast(), acc_hi);
+        for (row, [lo, hi]) in acc.iter_mut().zip(sums) {
+            let mut lanes = [0u64; BLOCK_LANES];
+            // SAFETY: `lanes` is exactly `BLOCK_LANES == 8` words, so the
+            // two 4-word stores exactly tile it.
+            unsafe {
+                _mm256_storeu_si256(lanes.as_mut_ptr().cast(), lo);
+                _mm256_storeu_si256(lanes.as_mut_ptr().add(4).cast(), hi);
+            }
+            for (slot, lane) in row.iter_mut().zip(lanes) {
+                *slot += lane;
+            }
         }
-        for (slot, lane) in acc.iter_mut().zip(lanes) {
-            *slot += lane;
+    }
+}
+
+/// AVX-512 kernels: the class scan on native 64-bit-lane popcounts. The
+/// functions are `#[target_feature]`-gated; callers must have verified
+/// AVX-512F and AVX512-VPOPCNTDQ at runtime (enforced by the private
+/// `Kind::Avx512` constructor).
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    use super::BLOCK_LANES;
+    use core::arch::x86_64::{
+        _mm512_add_epi64, _mm512_loadu_si512, _mm512_popcnt_epi64, _mm512_set1_epi64,
+        _mm512_setzero_si512, _mm512_storeu_si512, _mm512_xor_si512,
+    };
+
+    /// # Safety
+    ///
+    /// The caller must have verified at runtime that the CPU supports
+    /// AVX-512F and AVX512-VPOPCNTDQ. The tile size and shapes are
+    /// checked by [`Backend::hamming_tile`](super::Backend::hamming_tile).
+    #[target_feature(enable = "avx512f,avx512vpopcntdq")]
+    pub unsafe fn hamming_tile(queries: &[&[u64]], block: &[u64], acc: &mut [[u64; BLOCK_LANES]]) {
+        by_tile_size!(tile(queries, block, acc));
+    }
+
+    /// Scores `Q` queries against one block: each block word — all eight
+    /// lanes — is one 512-bit load, XORed with each query's broadcast
+    /// word and popcounted per lane into that query's accumulator.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512vpopcntdq")]
+    fn tile<const Q: usize>(queries: &[&[u64]], block: &[u64], acc: &mut [[u64; BLOCK_LANES]]) {
+        let words = block.len() / BLOCK_LANES;
+        // Re-sliced to `words`, so the per-word query reads need no
+        // bounds checks.
+        let mut tile: [&[u64]; Q] = [&[]; Q];
+        for (slot, query) in tile.iter_mut().zip(queries) {
+            *slot = &query[..words];
+        }
+        let mut sums = [_mm512_setzero_si512(); Q];
+        for w in 0..words {
+            // SAFETY: `(w + 1) * BLOCK_LANES <= block.len()`, so the
+            // 8-word load stays inside `block`.
+            let lanes = unsafe { _mm512_loadu_si512(block.as_ptr().add(w * BLOCK_LANES).cast()) };
+            for (sum, query) in sums.iter_mut().zip(&tile) {
+                let diff = _mm512_xor_si512(lanes, _mm512_set1_epi64(query[w] as i64));
+                *sum = _mm512_add_epi64(*sum, _mm512_popcnt_epi64(diff));
+            }
+        }
+        for (row, sum) in acc.iter_mut().zip(sums) {
+            let mut lanes = [0u64; BLOCK_LANES];
+            // SAFETY: `lanes` is exactly `BLOCK_LANES == 8` words, one
+            // 512-bit store.
+            unsafe { _mm512_storeu_si512(lanes.as_mut_ptr().cast(), sum) };
+            for (slot, lane) in row.iter_mut().zip(lanes) {
+                *slot += lane;
+            }
         }
     }
 }
@@ -833,25 +983,58 @@ mod tests {
     }
 
     #[test]
-    fn hamming_block_matches_per_lane_hamming() {
+    fn hamming_tile_matches_per_lane_hamming() {
         let reference = Backend::scalar();
         for backend in Backend::available() {
             for nwords in [0usize, 1, 2, 157] {
-                let query = words(nwords, 5);
                 let block = words(nwords * BLOCK_LANES, 6);
-                let mut acc = [1u64; BLOCK_LANES];
-                backend.hamming_block(&query, &block, &mut acc);
-                for lane in 0..BLOCK_LANES {
-                    let lane_words: Vec<u64> =
-                        (0..nwords).map(|w| block[w * BLOCK_LANES + lane]).collect();
-                    assert_eq!(
-                        acc[lane],
-                        1 + reference.hamming(&query, &lane_words),
-                        "{} lane {lane} nwords {nwords}",
-                        backend.name()
-                    );
+                for tile in 1..=TILE_QUERIES {
+                    let queries: Vec<Vec<u64>> = (0..tile)
+                        .map(|q| words(nwords, 5 + 10 * q as u64))
+                        .collect();
+                    let refs: Vec<&[u64]> = queries.iter().map(Vec::as_slice).collect();
+                    let mut acc = vec![[1u64; BLOCK_LANES]; tile];
+                    backend.hamming_tile(&refs, &block, &mut acc);
+                    for (q, query) in queries.iter().enumerate() {
+                        for lane in 0..BLOCK_LANES {
+                            let lane_words: Vec<u64> =
+                                (0..nwords).map(|w| block[w * BLOCK_LANES + lane]).collect();
+                            assert_eq!(
+                                acc[q][lane],
+                                1 + reference.hamming(query, &lane_words),
+                                "{} query {q} of {tile}, lane {lane}, nwords {nwords}",
+                                backend.name()
+                            );
+                        }
+                    }
                 }
             }
         }
+    }
+
+    #[test]
+    fn available_lists_backends_fastest_last() {
+        let backends = Backend::available();
+        assert_eq!(backends.last(), Some(&Backend::detect()));
+        let names: Vec<&str> = backends.iter().map(|b| b.name()).collect();
+        assert!(
+            [
+                &["scalar"][..],
+                &["scalar", "avx2"][..],
+                &["scalar", "avx2", "avx512"][..]
+            ]
+            .contains(&names.as_slice()),
+            "unexpected backend list {names:?}"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "at most")]
+    fn oversized_tile_panics() {
+        let query = [0u64; 1];
+        let block = [0u64; BLOCK_LANES];
+        let queries = [&query[..]; TILE_QUERIES + 1];
+        let mut acc = [[0u64; BLOCK_LANES]; TILE_QUERIES + 1];
+        Backend::active().hamming_tile(&queries, &block, &mut acc);
     }
 }

@@ -7,15 +7,18 @@
 //! [`BLOCK_LANES`](crate::backend::BLOCK_LANES) lanes — word `w` of the
 //! block's lanes sits at `block[w * BLOCK_LANES + lane]` — so every scan
 //! streams each query word once per block across all of its lanes while
-//! the per-lane distance accumulators stay in registers (or two SIMD
-//! vectors on the AVX2 backend). This is the structure-of-arrays
+//! the per-lane distance accumulators stay in registers (two SIMD
+//! vectors on the AVX2 backend, one on AVX-512). Batches go one step
+//! further: [`nearest_many`](ClassMemory::nearest_many) scores a tile of
+//! up to [`TILE_QUERIES`] queries per pass, so each block is read once
+//! per tile rather than once per query. This is the structure-of-arrays
 //! "associative memory" layout that HDC inference engines batch their
 //! similarity pipelines over, and the only copy of the class vectors
 //! `GraphHdModel` keeps. [`nearest`](ClassMemory::nearest) is the
 //! decision rule on top: the smallest Hamming distance is the largest
 //! cosine, since `cos = 1 − 2h/d` for bipolar vectors.
 
-use crate::backend::{Backend, BLOCK_LANES};
+use crate::backend::{Backend, BLOCK_LANES, TILE_QUERIES};
 use crate::{HdvError, Hypervector};
 
 /// A set of same-dimension hypervectors laid out for one-query-to-many
@@ -35,6 +38,8 @@ use crate::{HdvError, Hypervector};
 /// assert_eq!(distances[3], 0);
 /// assert_eq!(memory.cosine_many(&query)[3], 1.0);
 /// assert_eq!(memory.nearest(&query), Some(3));
+/// let batch = [items.hypervector(5), query];
+/// assert_eq!(memory.nearest_many(&batch), vec![Some(5), Some(3)]);
 /// # Ok::<(), hdvec::HdvError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -113,7 +118,7 @@ impl ClassMemory {
     /// Panics if the dimensions differ.
     pub fn push(&mut self, hv: &Hypervector) {
         self.check_dim(hv);
-        if self.len % BLOCK_LANES == 0 {
+        if self.len.is_multiple_of(BLOCK_LANES) {
             self.blocks.push(vec![0u64; self.words * BLOCK_LANES]);
         }
         self.len += 1;
@@ -172,27 +177,38 @@ impl ClassMemory {
         );
     }
 
-    /// Streams the Hamming distance of `query` to every stored vector
-    /// (in order) into `emit`, one block kernel call per
-    /// [`BLOCK_LANES`] vectors on every backend and at every size.
-    fn distances<F: FnMut(u64)>(&self, query: &Hypervector, mut emit: F) {
-        assert_eq!(
-            self.dim,
-            query.dim(),
-            "cannot compare a {}-dimensional query against a {}-dimensional class memory",
-            query.dim(),
-            self.dim
-        );
+    /// Streams the Hamming distance of every query in `tile` (at most
+    /// [`TILE_QUERIES`]) to every stored vector into
+    /// `emit(query, index, distance)`, one tile kernel call per
+    /// [`BLOCK_LANES`] vectors on every backend and at every size: each
+    /// block is read once for the whole tile, and indices arrive in
+    /// storage order for each query.
+    fn scan_tile<F: FnMut(usize, usize, u64)>(&self, tile: &[Hypervector], mut emit: F) {
+        let mut words: [&[u64]; TILE_QUERIES] = [&[]; TILE_QUERIES];
+        for (slot, query) in words.iter_mut().zip(tile) {
+            assert_eq!(
+                self.dim,
+                query.dim(),
+                "cannot compare a {}-dimensional query against a {}-dimensional class memory",
+                query.dim(),
+                self.dim
+            );
+            *slot = query.words();
+        }
+        let words = &words[..tile.len()];
         let backend = Backend::active();
-        let mut remaining = self.len;
-        for block in &self.blocks {
-            let mut acc = [0u64; BLOCK_LANES];
-            backend.hamming_block(query.words(), block, &mut acc);
-            let lanes = usize::min(remaining, BLOCK_LANES);
-            for &d in &acc[..lanes] {
-                emit(d);
+        let mut acc = [[0u64; BLOCK_LANES]; TILE_QUERIES];
+        let acc = &mut acc[..tile.len()];
+        for (b, block) in self.blocks.iter().enumerate() {
+            acc.fill([0; BLOCK_LANES]);
+            backend.hamming_tile(words, block, acc);
+            let first = b * BLOCK_LANES;
+            let lanes = usize::min(self.len - first, BLOCK_LANES);
+            for (q, row) in acc.iter().enumerate() {
+                for (lane, &d) in row[..lanes].iter().enumerate() {
+                    emit(q, first + lane, d);
+                }
             }
-            remaining -= lanes;
         }
     }
 
@@ -205,15 +221,37 @@ impl ClassMemory {
     /// Panics if the dimensions differ.
     #[must_use]
     pub fn nearest(&self, query: &Hypervector) -> Option<usize> {
-        let mut best: Option<(usize, u64)> = None;
-        let mut index = 0;
-        self.distances(query, |d| {
-            if best.is_none_or(|(_, nearest)| d < nearest) {
-                best = Some((index, d));
+        self.nearest_tile(std::slice::from_ref(query))[0]
+    }
+
+    /// [`nearest`](Self::nearest) for every query, in order. The queries
+    /// are scanned in tiles of [`TILE_QUERIES`], so the class vectors are
+    /// streamed once per tile instead of once per query; each answer is
+    /// the one `nearest` gives.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a query's dimension differs from the memory's.
+    #[must_use]
+    pub fn nearest_many(&self, queries: &[Hypervector]) -> Vec<Option<usize>> {
+        let mut nearest = Vec::with_capacity(queries.len());
+        for tile in queries.chunks(TILE_QUERIES) {
+            nearest.extend_from_slice(&self.nearest_tile(tile)[..tile.len()]);
+        }
+        nearest
+    }
+
+    /// The streaming Hamming argmin of each query of one tile, in its
+    /// first `tile.len()` slots: a strict `<` keeps the lowest index
+    /// among equal distances.
+    fn nearest_tile(&self, tile: &[Hypervector]) -> [Option<usize>; TILE_QUERIES] {
+        let mut best: [Option<(usize, u64)>; TILE_QUERIES] = [None; TILE_QUERIES];
+        self.scan_tile(tile, |q, index, d| {
+            if best[q].is_none_or(|(_, nearest)| d < nearest) {
+                best[q] = Some((index, d));
             }
-            index += 1;
         });
-        best.map(|(index, _)| index)
+        best.map(|best| best.map(|(index, _)| index))
     }
 
     /// Hamming distance of `query` to every stored vector, in storage
@@ -225,7 +263,7 @@ impl ClassMemory {
     #[must_use]
     pub fn hamming_many(&self, query: &Hypervector) -> Vec<usize> {
         let mut out = Vec::with_capacity(self.len);
-        self.distances(query, |d| out.push(d as usize));
+        self.scan_tile(std::slice::from_ref(query), |_, _, d| out.push(d as usize));
         out
     }
 
@@ -239,7 +277,7 @@ impl ClassMemory {
     pub fn cosine_many(&self, query: &Hypervector) -> Vec<f64> {
         let mut out = Vec::with_capacity(self.len);
         let dim = self.dim as f64;
-        self.distances(query, |h| {
+        self.scan_tile(std::slice::from_ref(query), |_, _, h| {
             out.push((self.dim as i64 - 2 * h as i64) as f64 / dim);
         });
         out
@@ -320,6 +358,50 @@ mod tests {
         assert_eq!(memory.nearest(&vs[17]), Some(1));
         let empty = ClassMemory::new(64).unwrap();
         assert_eq!(empty.nearest(&vectors(64, 1, 3)[0]), None);
+    }
+
+    #[test]
+    fn nearest_many_matches_mapping_nearest() {
+        let queries = vectors(1000, 17, 78);
+        for n in [1usize, 2, 7, 8, 9, 23] {
+            let mut vs = vectors(1000, n, 3);
+            // Some queries are stored vectors (distance 0), and one sits
+            // in two lanes so its query ties.
+            for (i, q) in queries.iter().enumerate().step_by(3) {
+                vs[(i * 5) % n] = q.clone();
+            }
+            if n > 1 {
+                vs[n - 1] = vs[0].clone();
+            }
+            let memory = ClassMemory::from_vectors(&vs).unwrap();
+            for count in [0usize, 1, 7, 8, 9, 17] {
+                let batch = &queries[..count];
+                let mapped: Vec<Option<usize>> = batch.iter().map(|q| memory.nearest(q)).collect();
+                assert_eq!(memory.nearest_many(batch), mapped, "n={n} count={count}");
+            }
+        }
+        // The duplicated-vector ties, in the same block and across a
+        // block boundary, inside one tile.
+        let mut vs = vectors(1000, 23, 3);
+        vs[4] = vs[1].clone();
+        vs[17] = vs[1].clone();
+        let memory = ClassMemory::from_vectors(&vs).unwrap();
+        let batch = [vs[17].clone(), vs[2].clone(), vs[4].clone(), vs[1].clone()];
+        assert_eq!(
+            memory.nearest_many(&batch),
+            vec![Some(1), Some(2), Some(1), Some(1)]
+        );
+        let empty = ClassMemory::new(64).unwrap();
+        assert_eq!(empty.nearest_many(&vectors(64, 9, 3)), vec![None; 9]);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot compare")]
+    fn nearest_many_dimension_mismatch_panics() {
+        let memory = ClassMemory::from_vectors(&vectors(128, 2, 11)).unwrap();
+        let mut queries = vectors(128, 3, 1);
+        queries.push(ItemMemory::new(64, 1).unwrap().hypervector(0));
+        let _ = memory.nearest_many(&queries);
     }
 
     #[test]

@@ -5,13 +5,15 @@
 //! XOR+popcount `hamming`, `bind`, the accumulator counter update and
 //! threshold, component packing, and the blocked `ClassMemory` scoring —
 //! is property-checked **bit-identical** between `Backend::scalar()` and
-//! every backend in `Backend::available()` (AVX2 on capable hosts; on a
-//! scalar-only host the comparisons degenerate to self-checks and the
-//! suite still passes). The dimension grid covers both word-boundary
+//! every SIMD backend in `Backend::available()` (AVX2, plus AVX-512 on
+//! hosts with VPOPCNTDQ; on a scalar-only host the comparisons
+//! degenerate to self-checks and the suite still passes). The class-scan
+//! kernel is checked at every tile size from one query to
+//! `TILE_QUERIES`. The dimension grid covers both word-boundary
 //! edges and the paper-scale sizes: {1, 63, 64, 65, 127, 128, 10_000,
 //! 100_003}.
 
-use hdvec::backend::{Backend, TieWords, BLOCK_LANES};
+use hdvec::backend::{Backend, TieWords, BLOCK_LANES, TILE_QUERIES};
 use hdvec::{Accumulator, ClassMemory, Hypervector, ItemMemory, TieBreak};
 use proptest::prelude::*;
 
@@ -147,13 +149,12 @@ proptest! {
     }
 
     #[test]
-    fn hamming_block_matches_scalar(
+    fn hamming_tile_matches_scalar(
         dim_idx in 0usize..DIMS.len(),
         seed in any::<u64>(),
     ) {
         let dim = DIMS[dim_idx];
         let words = dim.div_ceil(64);
-        let query = random_words(dim, seed);
         // An interleaved block built from BLOCK_LANES random vectors.
         let lanes: Vec<Vec<u64>> = (0..BLOCK_LANES)
             .map(|l| random_words(dim, seed ^ (l as u64 + 1)))
@@ -164,12 +165,21 @@ proptest! {
                 block[w * BLOCK_LANES + l] = word;
             }
         }
-        let mut expected = [0u64; BLOCK_LANES];
-        Backend::scalar().hamming_block(&query, &block, &mut expected);
-        for backend in simd_backends() {
-            let mut got = [0u64; BLOCK_LANES];
-            backend.hamming_block(&query, &block, &mut got);
-            prop_assert_eq!(got, expected, "{} block dim {}", backend.name(), dim);
+        let queries: Vec<Vec<u64>> = (0..TILE_QUERIES)
+            .map(|q| random_words(dim, seed ^ (0x9E37 * (q as u64 + 1))))
+            .collect();
+        let refs: Vec<&[u64]> = queries.iter().map(Vec::as_slice).collect();
+        for tile in 1..=TILE_QUERIES {
+            let mut expected = vec![[0u64; BLOCK_LANES]; tile];
+            Backend::scalar().hamming_tile(&refs[..tile], &block, &mut expected);
+            for backend in simd_backends() {
+                let mut got = vec![[0u64; BLOCK_LANES]; tile];
+                backend.hamming_tile(&refs[..tile], &block, &mut got);
+                prop_assert_eq!(
+                    &got, &expected,
+                    "{} tile of {} dim {}", backend.name(), tile, dim
+                );
+            }
         }
     }
 
