@@ -601,6 +601,7 @@ impl PoolHandle {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn zero_threads_clamps_to_one() {
@@ -699,6 +700,30 @@ mod tests {
             }
         });
         assert_eq!(total.load(Ordering::SeqCst), 4 * 8 * 100);
+    }
+
+    #[test]
+    fn a_blocked_chunk_does_not_hold_back_the_rest() {
+        for threads in [2usize, 3, 8] {
+            let pool = Pool::with_threads(threads);
+            let ran = AtomicUsize::new(0);
+            pool.par_for_ranges(32, 1, |range| {
+                ran.fetch_add(range.len(), Ordering::SeqCst);
+                if range.contains(&0) {
+                    // The other executors must drain every other chunk
+                    // while this one is parked.
+                    let deadline = Instant::now() + Duration::from_secs(10);
+                    while ran.load(Ordering::SeqCst) < 32 {
+                        assert!(
+                            Instant::now() < deadline,
+                            "t={threads}: chunks stalled behind a blocked one"
+                        );
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                }
+            });
+            assert_eq!(ran.load(Ordering::SeqCst), 32, "t={threads}");
+        }
     }
 
     #[test]
