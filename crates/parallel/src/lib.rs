@@ -1,4 +1,4 @@
-//! **parallel** — the suite's persistent work-stealing runtime.
+//! **parallel** — the suite's persistent thread-pool runtime.
 //!
 //! GraphHD's pipeline is embarrassingly parallel: encodings of different
 //! graphs are independent, Gram-matrix cells are independent, and
@@ -8,8 +8,11 @@
 //! dealing, which load-imbalances badly on skewed graph sizes. This crate
 //! replaces both with one shared substrate:
 //!
-//! - [`Pool`] — a persistent pool of workers with per-worker deques and
-//!   chunked work stealing. [`Pool::with_threads`] pins an exact
+//! - [`Pool`] — a persistent pool of workers behind one lock and one
+//!   condvar. A region is cut into up to four chunks per thread; the
+//!   submitter claims its own region's chunks first, idle threads claim
+//!   the next chunk of the oldest open region, so a slow chunk never
+//!   holds back the rest. [`Pool::with_threads`] pins an exact
 //!   parallelism degree for deterministic benchmarking;
 //!   [`Pool::global`] is the process-wide default, sized by the
 //!   `GRAPHHD_THREADS` environment variable or the machine.
@@ -22,11 +25,12 @@
 //! - [`PoolHandle`] — how the graph encoder selects between the global
 //!   pool and an explicitly owned one.
 //! - [`Pool::stats`] — lock-free scheduling telemetry (chunks executed,
-//!   steals, region timings, per-worker utilization), registrable into a
-//!   [`telemetry::Registry`] via [`Pool::register_metrics`].
+//!   steals, region timings, per-worker utilization), registrable into
+//!   a [`telemetry::Registry`] via [`Pool::register_metrics`]. A steal
+//!   is a chunk run by a thread other than its region's submitter.
 //!
-//! The crate depends only on the workspace's zero-dep `telemetry` crate
-//! and has exactly one `unsafe` block: the
+//! The crate depends only on the workspace's zero-dep `telemetry` and
+//! `faultpoint` crates and has exactly one `unsafe` block: the
 //! lifetime erasure that lets persistent workers run borrowed region
 //! closures (see `Pool::run_region` internals). Its soundness rests on
 //! the submitting call blocking until every chunk has completed.

@@ -1,27 +1,28 @@
-//! The persistent work-stealing pool and its scheduling machinery.
+//! The persistent pool and its scheduling machinery: one lock over the
+//! open regions' claim cursors, one condvar to sleep on.
 
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::thread::JoinHandle;
 use telemetry::{Counter, Histogram, HistogramSnapshot, Registry, Stopwatch};
 
 /// How many chunks each executor should get on average. Oversubscribing
-/// the chunk count lets stealing rebalance skewed per-chunk costs (e.g.
-/// Gram-matrix row `i` costs `O(n − i)`).
+/// the chunk count lets idle threads rebalance skewed per-chunk costs
+/// (e.g. Gram-matrix row `i` costs `O(n − i)`) by claiming the rest.
 const CHUNKS_PER_EXECUTOR: usize = 4;
 
 /// Environment variable overriding the global pool's thread count.
 pub const THREADS_ENV: &str = "GRAPHHD_THREADS";
 
-/// The borrowed region closure with its lifetime erased so queue entries
-/// can live in the pool's `'static` worker deques. Soundness is argued in
+/// The borrowed region closure with its lifetime erased so an open region
+/// can sit in the pool's `'static` shared queue. Soundness is argued in
 /// [`Pool::run_region`], the only place the erasure happens.
 type ErasedTask = &'static (dyn Fn(Range<usize>) + Sync);
 
 /// Mutable completion state of one parallel region.
+#[derive(Default)]
 struct RegionStatus {
     /// Chunks fully processed (executed, skipped after cancellation, or
     /// panicked). The region is complete when this reaches `total`.
@@ -32,23 +33,32 @@ struct RegionStatus {
     panic: Option<Box<dyn std::any::Any + Send>>,
 }
 
-/// One `run_region` call: a shared chunk closure plus completion tracking.
-/// Heap-allocated behind an [`Arc`] so workers can outlive the *stack* of
-/// the submitting call without touching freed memory — the erased `task`
-/// reference itself is only ever dereferenced before a chunk's `done`
-/// increment, and the submitter blocks until `done == total`.
+/// One `run_region` call: a shared chunk closure, its chunking of `0..n`
+/// and completion tracking. Heap-allocated behind an [`Arc`] so workers
+/// can outlive the *stack* of the submitting call without touching freed
+/// memory — the erased `task` reference itself is only ever dereferenced
+/// before a chunk's `done` increment, and the submitter blocks until
+/// `done == total`.
 struct Region {
     task: ErasedTask,
+    n: usize,
+    chunk: usize,
     total: usize,
     status: Mutex<RegionStatus>,
 }
 
 impl Region {
-    /// Runs one claimed chunk: executes the closure (unless the region is
-    /// already cancelled), records panics, and counts the chunk done. The
-    /// last chunk notifies the pool's shared condvar, where both idle
-    /// workers and sleeping submitters wait.
-    fn execute(&self, range: Range<usize>, shared: &SharedState) {
+    /// Runs chunk `index`: executes the closure on its range (unless the
+    /// region is already cancelled), records panics, and counts the chunk
+    /// done. The last chunk wakes the pool's condvar, where both idle
+    /// workers and sleeping submitters wait. `stolen` marks a chunk run
+    /// by a thread other than the region's submitter.
+    fn execute(&self, index: usize, stolen: bool, shared: &SharedState) {
+        if stolen {
+            shared.metrics.steals.inc();
+        }
+        let begin = index * self.chunk;
+        let range = begin..usize::min(begin + self.chunk, self.n);
         let cancelled = self.status.lock().expect("region lock").cancelled;
         let outcome = if cancelled {
             Ok(())
@@ -76,28 +86,13 @@ impl Region {
             status.done += 1;
             status.done == self.total
         };
-        // The status lock is released before taking the wake lock, so no
-        // thread ever holds both in the execute direction (the submitter
-        // takes them in the opposite order, which is safe precisely
-        // because this path never nests them).
+        // The status lock is released before `notify` takes the pool
+        // lock, so the two are only ever nested pool-then-status (by the
+        // submitter's completion re-check), never the other way round.
         if is_last {
-            let _guard = shared.shutdown.lock().expect("shutdown lock");
-            shared.wake.notify_all();
+            shared.notify();
         }
     }
-
-    /// Whether every chunk has completed.
-    fn is_done(&self) -> bool {
-        let status = self.status.lock().expect("region lock");
-        status.done == self.total
-    }
-}
-
-/// A queued chunk: which region it belongs to and which index range it
-/// covers.
-struct Entry {
-    region: Arc<Region>,
-    range: Range<usize>,
 }
 
 /// Scheduling metrics shared by the pool handle and its workers.
@@ -107,14 +102,14 @@ struct Entry {
 struct PoolMetrics {
     /// Chunks executed, on any thread (workers, submitters, helpers).
     tasks: Counter,
-    /// Chunks taken from another worker's deque (each stolen entry
-    /// counts, including the ones re-queued locally by a chunked steal).
+    /// Chunks run by a thread other than their region's submitter
+    /// (background workers, and submitters helping a foreign region).
     steals: Counter,
     /// Parallel regions submitted (including serial fast-path regions).
     regions: Counter,
     /// Wall-clock nanoseconds per region, submission to quiescence.
     region_ns: Histogram,
-    /// Per-worker execution counters, indexed like `queues`.
+    /// Per-worker execution counters, indexed by worker number.
     workers: Vec<WorkerMetrics>,
 }
 
@@ -139,114 +134,96 @@ impl PoolMetrics {
     }
 }
 
+/// Everything the pool lock guards.
+#[derive(Default)]
+struct Queue {
+    /// Regions with unclaimed chunks, oldest first, each with the index
+    /// of its next unclaimed chunk. A region leaves once its last chunk
+    /// is claimed.
+    open: VecDeque<(Arc<Region>, usize)>,
+    /// Set by `Drop for Pool`; idle workers exit when they see it.
+    shutdown: bool,
+}
+
+impl Queue {
+    /// Claims the next chunk of `own` when it has one left, otherwise of
+    /// the oldest open region. Returns the region, the chunk index, and
+    /// whether the claim is a steal (a chunk of someone else's region).
+    fn claim(&mut self, own: Option<&Arc<Region>>) -> Option<(Arc<Region>, usize, bool)> {
+        let own_slot = own.and_then(|own| {
+            self.open
+                .iter()
+                .position(|(open, _)| Arc::ptr_eq(open, own))
+        });
+        let slot = own_slot.unwrap_or(0);
+        let (region, next) = self.open.get_mut(slot)?;
+        let index = *next;
+        *next += 1;
+        let region = if *next == region.total {
+            self.open.remove(slot).expect("slot is in range").0
+        } else {
+            Arc::clone(region)
+        };
+        Some((region, index, own_slot.is_none()))
+    }
+}
+
 /// State shared between the pool handle and its worker threads.
 struct SharedState {
-    /// One deque per worker thread. Entries are pushed at region
-    /// submission; owners pop from the front, thieves split off the back
-    /// half ("chunked" stealing).
-    queues: Vec<Mutex<VecDeque<Entry>>>,
-    /// Entries currently sitting in queues (claimed entries excluded).
-    /// Guards the worker sleep path against lost wakeups.
-    queued: AtomicUsize,
-    /// Shutdown flag; workers exit when it is set.
-    shutdown: Mutex<bool>,
-    /// Signalled when new entries arrive or the pool shuts down.
+    /// The one pool lock: open regions and the shutdown flag.
+    queue: Mutex<Queue>,
+    /// Signalled after a region opens, a region's last chunk completes,
+    /// or the pool shuts down. Waiters re-check under `queue`.
     wake: Condvar,
     /// Scheduling telemetry (tasks, steals, regions, per-worker load).
     metrics: PoolMetrics,
 }
 
 impl SharedState {
-    /// Pops the next entry for worker `own`: its own queue first, then a
-    /// chunked steal (back half of the fullest other queue; the first
-    /// stolen entry is returned, the rest are re-queued locally).
-    fn claim_worker(&self, own: usize) -> Option<Entry> {
-        if let Some(entry) = self.queues[own].lock().expect("queue lock").pop_front() {
-            self.queued.fetch_sub(1, Ordering::SeqCst);
-            return Some(entry);
-        }
-        let victim = self.fullest_queue(Some(own))?;
-        let mut stolen = {
-            let mut queue = self.queues[victim].lock().expect("queue lock");
-            let len = queue.len();
-            if len == 0 {
-                return None;
-            }
-            queue.split_off(len - len.div_ceil(2))
-        };
-        let first = stolen.pop_front().expect("split_off takes at least one");
-        self.queued.fetch_sub(1, Ordering::SeqCst);
-        self.metrics.steals.add(stolen.len() as u64 + 1);
-        if !stolen.is_empty() {
-            self.queues[own]
-                .lock()
-                .expect("queue lock")
-                .extend(stolen.drain(..));
-        }
-        Some(first)
+    fn lock(&self) -> MutexGuard<'_, Queue> {
+        self.queue.lock().expect("pool lock")
     }
 
-    /// Pops one entry from the fullest queue — the claim path for threads
-    /// that have no deque of their own (region submitters helping out).
-    fn claim_any(&self) -> Option<Entry> {
-        let victim = self.fullest_queue(None)?;
-        let entry = self.queues[victim].lock().expect("queue lock").pop_front();
-        if entry.is_some() {
-            self.queued.fetch_sub(1, Ordering::SeqCst);
-        }
-        entry
-    }
-
-    /// Index of the non-empty queue with the most entries, if any.
-    fn fullest_queue(&self, excluding: Option<usize>) -> Option<usize> {
-        let mut best: Option<(usize, usize)> = None;
-        for (index, queue) in self.queues.iter().enumerate() {
-            if excluding == Some(index) {
-                continue;
-            }
-            let len = queue.lock().expect("queue lock").len();
-            if len > 0 && best.is_none_or(|(_, best_len)| len > best_len) {
-                best = Some((index, len));
-            }
-        }
-        best.map(|(index, _)| index)
+    /// Wakes every waiter after a change made outside the pool lock (a
+    /// region's last chunk counted done). Taking and releasing the lock
+    /// orders the change after any waiter's locked re-check, so the
+    /// wakeup cannot be lost. Notifying only after the release — here and
+    /// wherever a change is made under the lock — keeps woken threads
+    /// from running straight into a held mutex.
+    fn notify(&self) {
+        drop(self.lock());
+        self.wake.notify_all();
     }
 }
 
-/// Body of each persistent worker thread: claim and execute entries until
-/// the queues drain, then sleep until new work or shutdown arrives.
+/// Body of each persistent worker thread: claim and execute chunks of
+/// the oldest open region until none is left, then sleep until a region
+/// opens or the pool shuts down.
 fn worker_loop(shared: &SharedState, index: usize) {
+    let mut queue = shared.lock();
     loop {
-        if let Some(entry) = shared.claim_worker(index) {
+        if let Some((region, chunk, stolen)) = queue.claim(None) {
+            drop(queue);
             // The stopwatch captures nothing (no clock read) when
             // telemetry is disabled, so the idle path stays clean.
             let watch = Stopwatch::started();
-            entry.region.execute(entry.range.clone(), shared);
-            if let Some(worker) = shared.metrics.workers.get(index) {
-                worker.tasks.inc();
-                if let Some(ns) = watch.elapsed_ns() {
-                    worker.busy_ns.add(ns);
-                }
+            region.execute(chunk, stolen, shared);
+            let worker = &shared.metrics.workers[index];
+            worker.tasks.inc();
+            if let Some(ns) = watch.elapsed_ns() {
+                worker.busy_ns.add(ns);
             }
-            continue;
-        }
-        let mut shutdown = shared.shutdown.lock().expect("shutdown lock");
-        loop {
-            if *shutdown {
-                return;
-            }
-            // `queued` is re-checked under the lock: submitters bump it
-            // before notifying under the same lock, so a worker that saw
-            // zero here is guaranteed to receive the notification.
-            if shared.queued.load(Ordering::SeqCst) > 0 {
-                break;
-            }
-            shutdown = shared.wake.wait(shutdown).expect("shutdown lock");
+            queue = shared.lock();
+        } else if queue.shutdown {
+            return;
+        } else {
+            queue = shared.wake.wait(queue).expect("pool lock");
         }
     }
 }
 
-/// A persistent work-stealing thread pool.
+/// A persistent thread pool whose idle threads claim the next chunk of
+/// the oldest open region.
 ///
 /// `Pool::with_threads(n)` provides a parallelism degree of exactly `n`:
 /// `n − 1` background workers plus the thread that submits a region (the
@@ -272,9 +249,6 @@ fn worker_loop(shared: &SharedState, index: usize) {
 pub struct Pool {
     shared: Arc<SharedState>,
     parallelism: usize,
-    /// Rotates the starting queue of each submission so concurrent regions
-    /// do not all land on worker 0.
-    next_start: AtomicUsize,
     handles: Vec<JoinHandle<()>>,
 }
 
@@ -297,9 +271,7 @@ impl Pool {
         let threads = threads.max(1);
         let workers = threads - 1;
         let shared = Arc::new(SharedState {
-            queues: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            queued: AtomicUsize::new(0),
-            shutdown: Mutex::new(false),
+            queue: Mutex::new(Queue::default()),
             wake: Condvar::new(),
             metrics: PoolMetrics::new(workers),
         });
@@ -315,7 +287,6 @@ impl Pool {
         Self {
             shared,
             parallelism: threads,
-            next_start: AtomicUsize::new(0),
             handles,
         }
     }
@@ -366,12 +337,11 @@ impl Pool {
         self.shared.metrics.regions.inc();
         let _region_span = self.shared.metrics.region_ns.start_span();
         let min_chunk = min_chunk.max(1);
-        let workers = self.shared.queues.len();
         let chunk = n
             .div_ceil(self.parallelism * CHUNKS_PER_EXECUTOR)
             .max(min_chunk);
         let chunk_count = n.div_ceil(chunk);
-        if workers == 0 || chunk_count <= 1 {
+        if self.parallelism == 1 || chunk_count <= 1 {
             // Serial fast path — also the `threads == 1` definition of the
             // "serial reference" every parallel result must reproduce.
             // The whole region is one inline chunk; count it so
@@ -392,67 +362,36 @@ impl Pool {
             unsafe { std::mem::transmute::<&(dyn Fn(Range<usize>) + Sync), ErasedTask>(task) };
         let region = Arc::new(Region {
             task,
+            n,
+            chunk,
             total: chunk_count,
-            status: Mutex::new(RegionStatus {
-                done: 0,
-                cancelled: false,
-                panic: None,
-            }),
+            status: Mutex::default(),
         });
+        // Open the region, then notify once the lock is released (see
+        // `SharedState::notify`).
+        self.shared.lock().open.push_back((Arc::clone(&region), 0));
+        self.shared.wake.notify_all();
 
-        // Publish the entry count *before* any entry becomes claimable:
-        // `queued` must stay a conservative overestimate, because a worker
-        // that claims a freshly pushed entry decrements it immediately and
-        // a late increment would wrap the counter below zero.
-        self.shared.queued.fetch_add(chunk_count, Ordering::SeqCst);
-        // Deal contiguous blocks of chunks to the worker deques (stealing
-        // rebalances skewed costs), rotating the first queue per region.
-        let start = self.next_start.fetch_add(1, Ordering::Relaxed);
-        for worker in 0..workers {
-            let lo = chunk_count * worker / workers;
-            let hi = chunk_count * (worker + 1) / workers;
-            if lo == hi {
-                continue;
-            }
-            let queue = &self.shared.queues[(start + worker) % workers];
-            let mut queue = queue.lock().expect("queue lock");
-            for index in lo..hi {
-                let begin = index * chunk;
-                let end = usize::min(begin + chunk, n);
-                queue.push_back(Entry {
-                    region: Arc::clone(&region),
-                    range: begin..end,
-                });
-            }
-        }
-        {
-            let _guard = self.shared.shutdown.lock().expect("shutdown lock");
-            self.shared.wake.notify_all();
-        }
-
-        // Participate until the region completes: the submitter claims and
-        // executes queued entries (of any region — helping foreign regions
-        // is what keeps nested submissions from worker threads live), and
-        // sleeps on the shared condvar when nothing is claimable. Both the
-        // region's last completion and any new enqueue (e.g. a nested
-        // region submitted by a worker mid-chunk) notify that condvar, so
-        // a sleeping submitter always wakes to help or to finish.
+        // Participate until the region completes: the submitter claims its
+        // own chunks first, then helps the oldest open region (helping
+        // foreign regions is what keeps nested submissions from worker
+        // threads live), and sleeps on the condvar when nothing is
+        // claimable. Both a region opening (e.g. a nested region submitted
+        // by a worker mid-chunk) and this region's last completion notify
+        // it, and both conditions are re-checked under the pool lock.
+        let mut queue = self.shared.lock();
         loop {
-            if region.is_done() {
+            if let Some((claimed, index, stolen)) = queue.claim(Some(&region)) {
+                drop(queue);
+                claimed.execute(index, stolen, &self.shared);
+                queue = self.shared.lock();
+            } else if region.status.lock().expect("region lock").done == region.total {
                 break;
-            }
-            if let Some(entry) = self.shared.claim_any() {
-                entry.region.execute(entry.range.clone(), &self.shared);
-                continue;
-            }
-            let guard = self.shared.shutdown.lock().expect("shutdown lock");
-            // Re-check both wake conditions under the lock: every notifier
-            // makes one of them true before notifying under this lock, so
-            // the wakeup cannot be lost.
-            if self.shared.queued.load(Ordering::SeqCst) == 0 && !region.is_done() {
-                drop(self.shared.wake.wait(guard).expect("shutdown lock"));
+            } else {
+                queue = self.shared.wake.wait(queue).expect("pool lock");
             }
         }
+        drop(queue);
         let payload = region.status.lock().expect("region lock").panic.take();
         if let Some(payload) = payload {
             panic::resume_unwind(payload);
@@ -460,8 +399,9 @@ impl Pool {
     }
 
     /// A snapshot of the pool's scheduling telemetry: chunks executed,
-    /// chunks stolen, regions run with their wall-clock distribution,
-    /// and per-worker utilization. Counters are cumulative since pool
+    /// chunks stolen (run by a thread other than their region's
+    /// submitter), regions run with their wall-clock distribution, and
+    /// per-worker utilization. Counters are cumulative since pool
     /// creation; take two snapshots to measure an interval.
     #[must_use]
     pub fn stats(&self) -> PoolStats {
@@ -496,7 +436,7 @@ impl Pool {
         );
         registry.register_counter(
             "pool_steals",
-            "Chunks stolen from another worker's queue",
+            "Chunks run by a thread other than their region's submitter",
             &metrics.steals,
         );
         registry.register_counter("pool_regions", "Parallel regions run", &metrics.regions);
@@ -517,7 +457,8 @@ pub struct PoolStats {
     pub threads: usize,
     /// Chunks executed, on any thread.
     pub tasks: u64,
-    /// Chunks taken from another worker's deque.
+    /// Chunks run by a thread other than their region's submitter:
+    /// background workers, and submitters helping a foreign region.
     pub steals: u64,
     /// Parallel regions run (serial fast-path regions included).
     pub regions: u64,
@@ -542,11 +483,8 @@ pub struct WorkerStats {
 
 impl Drop for Pool {
     fn drop(&mut self) {
-        {
-            let mut shutdown = self.shared.shutdown.lock().expect("shutdown lock");
-            *shutdown = true;
-            self.shared.wake.notify_all();
-        }
+        self.shared.lock().shutdown = true;
+        self.shared.wake.notify_all();
         for handle in self.handles.drain(..) {
             let _ = handle.join();
         }
@@ -600,7 +538,7 @@ impl PoolHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
     use std::time::{Duration, Instant};
 
     #[test]

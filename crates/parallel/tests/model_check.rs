@@ -8,7 +8,6 @@
 //! require that it finds the bug.
 
 use parallel::model::{self, AtomicUsize, Condvar, Config, Mutex};
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 fn exhaustive() -> Config {
@@ -112,174 +111,109 @@ fn correct_wait_protocol_is_clean() {
     );
 }
 
-/// The deque steal protocol of `SharedState::claim_worker`: owners pop
-/// the front of their own deque, thieves split off the back half of the
-/// victim's deque, claim the first stolen entry and re-queue the rest
-/// locally. Under every interleaving, each entry must be claimed
-/// exactly once and none may be lost.
-#[test]
-fn deque_steal_claims_every_entry_exactly_once() {
-    let report = model::check(exhaustive(), || {
-        // Three entries, encoded as bits: claims accumulate in one
-        // atomic, so `claimed == 0b111` iff each entry was claimed
-        // exactly once (any double claim or loss breaks the sum).
-        let queues = Arc::new([
-            Mutex::new(VecDeque::from([0usize, 1, 2])),
-            Mutex::new(VecDeque::new()),
-        ]);
-        let claimed = Arc::new(AtomicUsize::new(0));
-
-        let worker = |own: usize| {
-            let queues = Arc::clone(&queues);
-            let claimed = Arc::clone(&claimed);
-            move || loop {
-                // Own queue first (pop_front), like claim_worker.
-                if let Some(v) = queues[own].lock().pop_front() {
-                    claimed.fetch_add(1 << v);
-                    continue;
-                }
-                // Chunked steal: back half of the other queue, first
-                // stolen entry claimed, remainder re-queued locally.
-                let mut stolen = {
-                    let mut victim = queues[1 - own].lock();
-                    let len = victim.len();
-                    if len == 0 {
-                        return;
-                    }
-                    victim.split_off(len - len.div_ceil(2))
-                };
-                if let Some(first) = stolen.pop_front() {
-                    claimed.fetch_add(1 << first);
-                }
-                if !stolen.is_empty() {
-                    queues[own].lock().extend(stolen.drain(..));
-                }
-            }
-        };
-        let a = model::spawn(worker(0));
-        let b = model::spawn(worker(1));
-        a.join();
-        b.join();
-        assert_eq!(claimed.load(), 0b111, "an entry was lost or double-claimed");
-    });
-    assert!(report.failure.is_none(), "{:?}", report.failure);
-    assert!(
-        report.complete,
-        "space not exhausted in {} runs",
-        report.schedules
-    );
-}
-
-/// The worker sleep/wake protocol of `worker_loop` + `submit_region`:
-/// the submitter publishes `queued` before making work claimable and
-/// notifies under the shutdown lock; sleepers (worker waiting for work,
-/// submitter waiting for region completion) re-check their condition
-/// under that same lock; claimants notify completion under it. Shutdown
-/// happens only after the region is done, like `Drop for Pool` running
-/// after `submit_region` returned. Under every interleaving the entry
-/// is claimed exactly once (by the worker or by the helping submitter)
-/// and both threads terminate — a lost wakeup on either side would
+/// The one-lock protocol of `Pool::run_region` + `worker_loop`. The pool
+/// lock guards the open region's claim cursor and the shutdown flag;
+/// chunk completion is counted outside it, like `Region::execute`. The
+/// submitter opens a two-chunk region, notifies after releasing the
+/// lock, claims and runs chunks while any are left, then sleeps until
+/// the region is done; the worker claims what it can and sleeps. The
+/// thread that completes the last chunk takes and releases the pool lock
+/// and notifies after the release. Shutdown happens only after the
+/// region is done, like `Drop for Pool` running after `run_region`
+/// returned. Under every interleaving each chunk is claimed exactly
+/// once and both threads terminate — a lost wakeup on either side would
 /// surface as a deadlock.
 #[test]
-fn pool_sleep_protocol_never_loses_a_wakeup() {
+fn one_lock_protocol_claims_each_chunk_once_and_never_loses_a_wakeup() {
+    const CHUNKS: usize = 2;
     let report = model::check(exhaustive(), || {
+        /// What the pool lock guards: the region's next unclaimed chunk
+        /// (`None` until the region opens) and the shutdown flag.
+        struct Queue {
+            next: Option<usize>,
+            shutdown: bool,
+        }
         struct Shared {
-            queue: Mutex<VecDeque<usize>>,
-            queued: AtomicUsize,
-            shutdown: Mutex<bool>,
+            queue: Mutex<Queue>,
             wake: Condvar,
+            done: AtomicUsize,
             claimed: AtomicUsize,
         }
         impl Shared {
-            /// Claim one entry and announce the completed work under
-            /// the shutdown lock (as `Region::execute` notifies when a
-            /// region completes).
-            fn claim(&self) -> bool {
-                let popped = self.queue.lock().pop_front();
-                match popped {
-                    Some(v) => {
-                        self.queued.fetch_sub(1);
-                        self.claimed.fetch_add(1 << v);
-                        let _guard = self.shutdown.lock();
-                        self.wake.notify_all();
-                        true
-                    }
-                    None => false,
+            /// Claims the next chunk while holding the lock.
+            fn claim(queue: &mut Queue) -> Option<usize> {
+                let index = queue.next.filter(|&next| next < CHUNKS)?;
+                queue.next = Some(index + 1);
+                Some(index)
+            }
+            /// Runs a chunk outside the lock; the last one notifies after
+            /// taking and releasing the lock.
+            fn execute(&self, index: usize) {
+                self.claimed.fetch_add(1 << index);
+                if self.done.fetch_add(1) + 1 == CHUNKS {
+                    drop(self.queue.lock());
+                    self.wake.notify_all();
                 }
             }
         }
         let shared = Arc::new(Shared {
-            queue: Mutex::new(VecDeque::new()),
-            queued: AtomicUsize::new(0),
-            shutdown: Mutex::new(false),
+            queue: Mutex::new(Queue {
+                next: None,
+                shutdown: false,
+            }),
             wake: Condvar::new(),
+            done: AtomicUsize::new(0),
             claimed: AtomicUsize::new(0),
         });
 
         let worker_shared = Arc::clone(&shared);
-        let worker = model::spawn(move || loop {
-            if worker_shared.claim() {
-                continue;
-            }
-            {
-                let mut shutdown = worker_shared.shutdown.lock();
-                loop {
-                    if *shutdown {
-                        return;
-                    }
-                    // Re-check under the lock: submitters bump `queued`
-                    // before notifying under this same lock (mirrors
-                    // the comment in `worker_loop`).
-                    if worker_shared.queued.load() > 0 {
-                        break;
-                    }
-                    shutdown = worker_shared.wake.wait(shutdown);
+        let worker = model::spawn(move || {
+            let shared = &*worker_shared;
+            let mut queue = shared.queue.lock();
+            loop {
+                if let Some(index) = Shared::claim(&mut queue) {
+                    drop(queue);
+                    shared.execute(index);
+                    queue = shared.queue.lock();
+                } else if queue.shutdown {
+                    return;
+                } else {
+                    queue = shared.wake.wait(queue);
                 }
             }
-            // `queued` is published before the entry is claimable, so a
-            // short spin here is part of the real protocol; yield so
-            // the fair scheduler lets the submitter finish publishing.
-            model::yield_now();
         });
 
-        // Submit one entry the way `submit_region` does: publish the
-        // count, make the entry claimable, notify under the lock.
-        shared.queued.fetch_add(1);
-        shared.queue.lock().push_back(0);
-        {
-            let _guard = shared.shutdown.lock();
-            shared.wake.notify_all();
-        }
-        // Participate until the region completes, like the submitter's
-        // help loop: claim what is claimable, otherwise sleep until
-        // completion or new work is announced.
+        // Open the region, then notify after the release.
+        shared.queue.lock().next = Some(0);
+        shared.wake.notify_all();
+        // Help until the region is done, re-checking under the lock.
+        let mut queue = shared.queue.lock();
         loop {
-            if shared.claimed.load() == 0b1 {
+            if let Some(index) = Shared::claim(&mut queue) {
+                drop(queue);
+                shared.execute(index);
+                queue = shared.queue.lock();
+            } else if shared.done.load() == CHUNKS {
                 break;
+            } else {
+                // In real code the re-check and the wait are separate
+                // steps. This extra yield point lets the checker deliver
+                // the last completion between them: the window that the
+                // notifier's lock round-trip closes.
+                shared.done.load();
+                queue = shared.wake.wait(queue);
             }
-            if shared.claim() {
-                continue;
-            }
-            {
-                let guard = shared.shutdown.lock();
-                if shared.queued.load() == 0 && shared.claimed.load() != 0b1 {
-                    drop(shared.wake.wait(guard));
-                }
-            }
-            // Same spin window as the worker: the entry may be mid-claim
-            // (popped, counts not yet settled) — yield instead of
-            // re-polling so the claimant can finish.
-            model::yield_now();
         }
         // Region done: shut down the way `Drop for Pool` does.
-        {
-            let mut shutdown = shared.shutdown.lock();
-            *shutdown = true;
-            shared.wake.notify_all();
-        }
+        queue.shutdown = true;
+        drop(queue);
+        shared.wake.notify_all();
         worker.join();
-        assert_eq!(shared.claimed.load(), 0b1, "the entry was claimed twice");
-        assert_eq!(shared.queued.load(), 0, "queued count out of balance");
+        assert_eq!(
+            shared.claimed.load(),
+            (1 << CHUNKS) - 1,
+            "a chunk was lost or claimed twice"
+        );
     });
     assert!(report.failure.is_none(), "{:?}", report.failure);
     assert!(

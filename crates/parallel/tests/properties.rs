@@ -10,7 +10,7 @@ use proptest::prelude::*;
 const THREAD_COUNTS: [usize; 4] = [1, 2, 3, 8];
 
 /// Slice lengths crossing the interesting boundaries: empty, singleton,
-/// chunk-boundary straddlers, and large enough for multi-chunk stealing.
+/// chunk-boundary straddlers, and large enough for many chunks per thread.
 const LENGTHS: [usize; 5] = [0, 1, 63, 64, 1000];
 
 fn pools() -> Vec<Pool> {
