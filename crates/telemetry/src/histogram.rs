@@ -143,8 +143,7 @@ impl Histogram {
 
     /// Starts a [`SpanTimer`](crate::SpanTimer) that records its
     /// elapsed nanoseconds into this histogram when dropped. Captures
-    /// no clock when telemetry is disabled (or under the `noop`
-    /// feature, where the guard is zero-sized).
+    /// no clock when telemetry is disabled.
     #[must_use]
     pub fn start_span(&self) -> crate::SpanTimer {
         crate::SpanTimer::starting(self)

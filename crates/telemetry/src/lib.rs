@@ -1,7 +1,7 @@
 //! **telemetry** — the suite's zero-dependency observability layer.
 //!
 //! Every serving-scale subsystem in this workspace (the [`engine`
-//! queue](../engine/index.html), the work-stealing pool, the model's
+//! queue](../engine/index.html), the `parallel` pool, the model's
 //! fit/predict/retrain paths) needs to answer "how many, how long, why
 //! is p99 high?" without a profiler attached. This crate provides the
 //! shared substrate, in the same style as the rest of the workspace: no
@@ -15,9 +15,7 @@
 //!   [`HistogramSnapshot`]s and p50/p90/p99/max readouts;
 //! - [`Stopwatch`] / [`SpanTimer`] — cheap timing: a stopwatch captures
 //!   a start instant (or nothing, when telemetry is disabled), a span
-//!   guard records its elapsed nanoseconds into a histogram on drop.
-//!   The `noop` cargo feature compiles both into zero-sized inert
-//!   stubs for kernel-adjacent paths;
+//!   guard records its elapsed nanoseconds into a histogram on drop;
 //! - [`Registry`] — names metrics and renders them as Prometheus text
 //!   exposition format ([`Registry::render_prometheus`]) or a
 //!   structured JSON snapshot ([`Registry::render_json`]).
@@ -78,8 +76,7 @@ use std::sync::OnceLock;
 pub const TELEMETRY_ENV: &str = "GRAPHHD_TELEMETRY";
 
 /// Whether timing instrumentation is enabled (the default). Decided
-/// once, on first use, from [`TELEMETRY_ENV`]; with the `noop` feature
-/// the span/timer API compiles out regardless of this value.
+/// once, on first use, from [`TELEMETRY_ENV`].
 #[must_use]
 pub fn enabled() -> bool {
     static ENABLED: OnceLock<bool> = OnceLock::new();

@@ -4,168 +4,112 @@
 //!
 //! Both respect the runtime knob ([`crate::enabled`]): when
 //! `GRAPHHD_TELEMETRY=off`, no clock is ever read and nothing is
-//! recorded. The `noop` cargo feature goes further and compiles both
-//! types down to zero-sized inert stubs, for callers that cannot afford
-//! even the disabled-path branch.
+//! recorded.
 
-#[cfg(not(feature = "noop"))]
-mod real {
-    use crate::Histogram;
-    use std::time::Instant;
+use crate::Histogram;
+use std::time::Instant;
 
-    /// A start instant captured for later readout. Holds nothing (and
-    /// reads no clock) when telemetry is disabled, so it can be
-    /// embedded in per-request structs unconditionally.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// let sw = telemetry::Stopwatch::started();
-    /// let h = telemetry::Histogram::new();
-    /// sw.observe(&h);
-    /// ```
-    #[derive(Debug, Clone, Copy)]
-    pub struct Stopwatch {
-        start: Option<Instant>,
+/// A start instant captured for later readout. Holds nothing (and
+/// reads no clock) when telemetry is disabled, so it can be
+/// embedded in per-request structs unconditionally.
+///
+/// # Examples
+///
+/// ```
+/// let sw = telemetry::Stopwatch::started();
+/// let h = telemetry::Histogram::new();
+/// sw.observe(&h);
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct Stopwatch {
+    start: Option<Instant>,
+}
+
+impl Default for Stopwatch {
+    fn default() -> Self {
+        Self::started()
     }
+}
 
-    impl Default for Stopwatch {
-        fn default() -> Self {
-            Self::started()
-        }
-    }
-
-    impl Stopwatch {
-        /// Captures the current instant (or nothing, when telemetry is
-        /// disabled).
-        #[must_use]
-        pub fn started() -> Self {
-            Self {
-                start: crate::enabled().then(Instant::now),
-            }
-        }
-
-        /// A stopwatch that never records, regardless of the runtime
-        /// knob. For placeholder slots that are re-armed later.
-        #[must_use]
-        pub fn unstarted() -> Self {
-            Self { start: None }
-        }
-
-        /// Nanoseconds elapsed since [`started`](Self::started)
-        /// (saturating), or `None` if no instant was captured.
-        #[must_use]
-        pub fn elapsed_ns(&self) -> Option<u64> {
-            self.start
-                .map(|start| u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX))
-        }
-
-        /// Records the elapsed nanoseconds into `histogram`, if an
-        /// instant was captured. The stopwatch keeps running: calling
-        /// `observe` twice records two (growing) readings.
-        pub fn observe(&self, histogram: &Histogram) {
-            if let Some(ns) = self.elapsed_ns() {
-                histogram.record(ns);
-            }
+impl Stopwatch {
+    /// Captures the current instant (or nothing, when telemetry is
+    /// disabled).
+    #[must_use]
+    pub fn started() -> Self {
+        Self {
+            start: crate::enabled().then(Instant::now),
         }
     }
 
-    /// An RAII span guard: created over a histogram, records its
-    /// elapsed nanoseconds into it when dropped. Create via
-    /// [`Histogram::start_span`].
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// let h = telemetry::Histogram::new();
-    /// {
-    ///     let _span = h.start_span();
-    ///     // ... timed work ...
-    /// }
-    /// ```
-    #[derive(Debug)]
-    pub struct SpanTimer {
-        watch: Stopwatch,
-        histogram: Histogram,
+    /// A stopwatch that never records, regardless of the runtime
+    /// knob. For placeholder slots that are re-armed later.
+    #[must_use]
+    pub fn unstarted() -> Self {
+        Self { start: None }
     }
 
-    impl SpanTimer {
-        /// Starts a span over `histogram`.
-        #[must_use]
-        pub fn starting(histogram: &Histogram) -> Self {
-            Self {
-                watch: Stopwatch::started(),
-                histogram: histogram.clone(),
-            }
-        }
-
-        /// Drops the guard without recording anything.
-        pub fn cancel(mut self) {
-            self.watch = Stopwatch::unstarted();
-        }
+    /// Nanoseconds elapsed since [`started`](Self::started)
+    /// (saturating), or `None` if no instant was captured.
+    #[must_use]
+    pub fn elapsed_ns(&self) -> Option<u64> {
+        self.start
+            .map(|start| u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX))
     }
 
-    impl Drop for SpanTimer {
-        fn drop(&mut self) {
-            self.watch.observe(&self.histogram);
+    /// Records the elapsed nanoseconds into `histogram`, if an
+    /// instant was captured. The stopwatch keeps running: calling
+    /// `observe` twice records two (growing) readings.
+    pub fn observe(&self, histogram: &Histogram) {
+        if let Some(ns) = self.elapsed_ns() {
+            histogram.record(ns);
         }
     }
 }
 
-#[cfg(feature = "noop")]
-mod real {
-    use crate::Histogram;
+/// An RAII span guard: created over a histogram, records its
+/// elapsed nanoseconds into it when dropped. Create via
+/// [`Histogram::start_span`].
+///
+/// # Examples
+///
+/// ```
+/// let h = telemetry::Histogram::new();
+/// {
+///     let _span = h.start_span();
+///     // ... timed work ...
+/// }
+/// ```
+#[derive(Debug)]
+pub struct SpanTimer {
+    watch: Stopwatch,
+    histogram: Histogram,
+}
 
-    /// Zero-sized stub (`noop` feature): never reads a clock, never
-    /// records.
-    #[derive(Debug, Clone, Copy, Default)]
-    pub struct Stopwatch;
-
-    impl Stopwatch {
-        /// Stub: captures nothing.
-        #[must_use]
-        pub fn started() -> Self {
-            Self
+impl SpanTimer {
+    /// Starts a span over `histogram`.
+    #[must_use]
+    pub fn starting(histogram: &Histogram) -> Self {
+        Self {
+            watch: Stopwatch::started(),
+            histogram: histogram.clone(),
         }
-
-        /// Stub: captures nothing.
-        #[must_use]
-        pub fn unstarted() -> Self {
-            Self
-        }
-
-        /// Stub: always `None`.
-        #[must_use]
-        pub fn elapsed_ns(&self) -> Option<u64> {
-            None
-        }
-
-        /// Stub: records nothing.
-        pub fn observe(&self, _histogram: &Histogram) {}
     }
 
-    /// Zero-sized stub (`noop` feature): an inert guard.
-    #[derive(Debug)]
-    pub struct SpanTimer;
-
-    impl SpanTimer {
-        /// Stub: an inert guard.
-        #[must_use]
-        pub fn starting(_histogram: &Histogram) -> Self {
-            Self
-        }
-
-        /// Stub: nothing to cancel.
-        pub fn cancel(self) {}
+    /// Drops the guard without recording anything.
+    pub fn cancel(mut self) {
+        self.watch = Stopwatch::unstarted();
     }
 }
 
-pub use real::{SpanTimer, Stopwatch};
+impl Drop for SpanTimer {
+    fn drop(&mut self) {
+        self.watch.observe(&self.histogram);
+    }
+}
 
-#[cfg(all(test, not(feature = "noop")))]
+#[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Histogram;
 
     #[test]
     fn span_records_on_drop() {
