@@ -262,9 +262,10 @@ impl GraphEncoder {
     ///
     /// The result is identical to mapping [`encode`](Self::encode) — the
     /// parallelism is an implementation detail mirroring the paper's
-    /// observation that HDC encoding is trivially parallel, and the
-    /// work-stealing pool keeps skewed graph sizes balanced (the old
-    /// round-robin static dealing did not).
+    /// observation that HDC encoding is trivially parallel. The pool cuts
+    /// the slice into more chunks than it has threads and idle threads
+    /// claim the next one, which keeps skewed graph sizes balanced (the
+    /// old round-robin static dealing did not).
     #[must_use]
     pub fn encode_all<G: Borrow<Graph> + Sync>(&self, graphs: &[G]) -> Vec<Hypervector> {
         self.pool()

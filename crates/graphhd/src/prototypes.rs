@@ -219,13 +219,6 @@ impl MultiPrototypeModel {
             .pool()
             .par_map(graphs, |g| self.predict(g.borrow()))
     }
-
-    /// Batch prediction over owned graphs (see
-    /// [`predict_all`](Self::predict_all)).
-    #[must_use]
-    pub fn predict_batch(&self, graphs: &[Graph]) -> Vec<u32> {
-        self.predict_all(graphs)
-    }
 }
 
 /// The multi-prototype model under the suite-wide trait, so the CV
@@ -351,7 +344,7 @@ mod tests {
             assert_eq!(model.classify(&query), best_class);
         }
         let serial: Vec<u32> = graphs.iter().map(|g| model.predict(g)).collect();
-        assert_eq!(model.predict_batch(&graphs), serial);
+        assert_eq!(model.predict_all(&graphs), serial);
     }
 
     #[test]
@@ -366,7 +359,7 @@ mod tests {
             spawn_threshold: 0.5,
         };
         let model = MultiPrototypeModel::fit(config, &graphs, &labels, 2).expect("valid");
-        let predictions = model.predict_batch(&graphs);
+        let predictions = model.predict_all(&graphs);
         let accuracy = predictions
             .iter()
             .zip(&labels)
@@ -395,7 +388,7 @@ mod tests {
         assert_eq!(via_trait.prototype_counts(), direct.prototype_counts());
         assert_eq!(
             GraphClassifier::predict(&via_trait, &refs),
-            direct.predict_batch(&graphs)
+            direct.predict_all(&graphs)
         );
         assert_eq!(GraphClassifier::name(&via_trait), "GraphHD+prototypes");
     }

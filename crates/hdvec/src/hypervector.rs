@@ -374,8 +374,8 @@ impl Hypervector {
             self.dim, other.dim
         );
         // Fused XOR+popcount on the dispatched backend (Harley–Seal
-        // scalar or AVX2); this is the single hottest kernel of GraphHD
-        // inference.
+        // scalar, or AVX2 on both SIMD backends). Inference decisions do
+        // not come through here: they use `ClassMemory`'s tiled scan.
         Backend::active().hamming(&self.words, &other.words) as usize
     }
 

@@ -1,5 +1,5 @@
 //! Gram (kernel) matrix computation, parallelised across rows on the
-//! shared work-stealing pool.
+//! shared `parallel` pool.
 
 use crate::SparseCounts;
 use parallel::Pool;
@@ -121,12 +121,13 @@ pub fn compute_gram(features: &[SparseCounts], kind: KernelKind) -> GramMatrix {
 
 /// Computes the Gram matrix on an explicit pool.
 ///
-/// Each row is one stealable unit of work: row `i` costs O(n − i), and
-/// work stealing rebalances that skew regardless of how rows were dealt
-/// out initially (the previous round-robin static dealing systematically
-/// overloaded the first worker). Only the upper triangle is computed and
-/// then mirrored, and the result is bit-identical for every thread count
-/// because every cell is an independent pure function of `features`.
+/// Rows are split into more chunks than the pool has threads, and each
+/// idle thread claims the next unclaimed chunk. Row `i` costs O(n − i),
+/// so claiming on demand rebalances that skew (the previous round-robin
+/// static dealing systematically overloaded the first worker). Only the
+/// upper triangle is computed and then mirrored, and the result is
+/// bit-identical for every thread count because every cell is an
+/// independent pure function of `features`.
 #[must_use]
 pub fn compute_gram_with_pool(
     features: &[SparseCounts],
@@ -139,8 +140,8 @@ pub fn compute_gram_with_pool(
         return GramMatrix { n, values };
     }
     pool.par_chunks_mut(&mut values, n, |i, row| {
-        // One blocked row evaluation per stealable unit: parallel over
-        // rows on the pool, streaming multi-candidate evaluation within.
+        // One blocked row evaluation per row: parallel over rows on the
+        // pool, streaming multi-candidate evaluation within.
         kind.eval_row(&features[i], &features[i..], &mut row[i..]);
     });
     // Mirror the upper triangle.

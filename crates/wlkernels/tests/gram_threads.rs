@@ -2,7 +2,7 @@
 //!
 //! The old `compute_gram_with_threads` dealt row `i` (cost O(n − i))
 //! round-robin, so the first worker always drew the most expensive rows;
-//! the port to the work-stealing pool removed the pattern. These tests pin
+//! the port to the shared `parallel` pool removed the pattern. These tests pin
 //! the contract the port must keep: the Gram matrix is **bit-identical**
 //! for every thread count, including counts that do not divide the row
 //! count.

@@ -2,7 +2,7 @@
 //! `cargo xtask audit`.
 //!
 //! The GraphHD workspace trades safety for speed in exactly two places
-//! (the `std::arch` SIMD kernels and the work-stealing pool's lifetime
+//! (the `std::arch` SIMD kernels and the `parallel` pool's lifetime
 //! erasure) and leans on conventions everywhere else: `SAFETY:`
 //! comments on unsafe sites, panic-free library code, documented public
 //! surfaces, and a registry of environment knobs. Conventions rot

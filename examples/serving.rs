@@ -47,7 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // ── Server process ─────────────────────────────────────────────────
     // Reload the artifact into an engine: bounded queue (backpressure),
-    // batched dispatch onto the work-stealing pool, SIMD-blocked scoring.
+    // batched dispatch onto the `parallel` pool, SIMD-blocked scoring.
     let served = Engine::builder()
         .queue_capacity(128)
         .max_batch(32)

@@ -7,7 +7,7 @@
 //!
 //! This crate is an umbrella that re-exports the workspace members:
 //!
-//! - [`parallel`] — the persistent work-stealing pool every hot path
+//! - [`parallel`] — the persistent thread pool every hot path
 //!   (batch encoding, Gram matrices, training, prediction, CV) runs on;
 //! - [`prng`] — deterministic randomness (SplitMix64, xoshiro256++);
 //! - [`hdvec`] — bit-packed bipolar hypervectors and the HDC operations;
