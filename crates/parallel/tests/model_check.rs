@@ -133,6 +133,14 @@ fn one_lock_protocol_claims_each_chunk_once_and_never_loses_a_wakeup() {
             next: Option<usize>,
             shutdown: bool,
         }
+        impl Queue {
+            /// Claims the next chunk; the caller holds the lock.
+            fn claim(&mut self) -> Option<usize> {
+                let index = self.next.filter(|&next| next < CHUNKS)?;
+                self.next = Some(index + 1);
+                Some(index)
+            }
+        }
         struct Shared {
             queue: Mutex<Queue>,
             wake: Condvar,
@@ -140,12 +148,6 @@ fn one_lock_protocol_claims_each_chunk_once_and_never_loses_a_wakeup() {
             claimed: AtomicUsize,
         }
         impl Shared {
-            /// Claims the next chunk while holding the lock.
-            fn claim(queue: &mut Queue) -> Option<usize> {
-                let index = queue.next.filter(|&next| next < CHUNKS)?;
-                queue.next = Some(index + 1);
-                Some(index)
-            }
             /// Runs a chunk outside the lock; the last one notifies after
             /// taking and releasing the lock.
             fn execute(&self, index: usize) {
@@ -171,7 +173,7 @@ fn one_lock_protocol_claims_each_chunk_once_and_never_loses_a_wakeup() {
             let shared = &*worker_shared;
             let mut queue = shared.queue.lock();
             loop {
-                if let Some(index) = Shared::claim(&mut queue) {
+                if let Some(index) = queue.claim() {
                     drop(queue);
                     shared.execute(index);
                     queue = shared.queue.lock();
@@ -189,7 +191,7 @@ fn one_lock_protocol_claims_each_chunk_once_and_never_loses_a_wakeup() {
         // Help until the region is done, re-checking under the lock.
         let mut queue = shared.queue.lock();
         loop {
-            if let Some(index) = Shared::claim(&mut queue) {
+            if let Some(index) = queue.claim() {
                 drop(queue);
                 shared.execute(index);
                 queue = shared.queue.lock();
