@@ -8,21 +8,23 @@
 //! This crate is that story end-to-end, on the substrates the earlier
 //! PRs built:
 //!
-//! - requests enter a **bounded queue** — submitters block when it is
-//!   full (backpressure), so a burst degrades latency instead of memory;
-//! - a dispatcher thread drains the queue in batches and scores each
-//!   batch as a [`parallel::Pool`] region, so concurrent requests are
-//!   amortized over one parallel sweep exactly like offline batch
-//!   prediction;
+//! - requests enter a **bounded queue** — a submitter that finds it full
+//!   serves queued work itself before it may enqueue (backpressure), so
+//!   a burst degrades latency instead of memory;
+//! - the engine **owns no thread**: a caller waiting on its answer
+//!   drains up to `max_batch` queued requests and scores them as one
+//!   [`parallel::Pool`] region, on its own thread and the pool, so
+//!   concurrent requests are amortized over one parallel sweep exactly
+//!   like offline batch prediction;
 //! - each request is answered with the label of [`GraphHdModel::predict`]
 //!   (a batch's classify requests are decided together by
 //!   [`GraphHdModel::predict_many`], one tiled class scan per pool range)
 //!   or with [`GraphHdModel::scores`], so the engine and offline
 //!   prediction share one decision rule on the blocked+SIMD
 //!   `hdvec::ClassMemory` scan;
-//! - [`Engine::shutdown`] (and dropping the last handle) closes the
-//!   queue, **drains** every request already accepted, then joins the
-//!   dispatcher — accepted work is never dropped;
+//! - [`Engine::shutdown`] closes the queue, **answers** every request
+//!   already accepted and waits for batches in flight on other threads —
+//!   accepted work is never dropped;
 //! - every stage is instrumented with lock-free `telemetry` metrics:
 //!   [`Engine::stats`] returns a typed [`EngineStats`] (queue depth,
 //!   accepted/rejected/failed counters, queue-wait / batch-size /
@@ -37,21 +39,17 @@
 //!
 //! - **Admission control** — [`OverloadPolicy`] decides what a full
 //!   queue does to a submitter: [`Block`](OverloadPolicy::Block)
-//!   (today's backpressure), [`Shed`](OverloadPolicy::Shed) (immediate
-//!   [`Error::Overloaded`]) or [`Timeout`](OverloadPolicy::Timeout)
-//!   (bounded blocking, then `Overloaded`).
+//!   (serve queued batches until there is room), [`Shed`](OverloadPolicy::Shed)
+//!   (immediate [`Error::Overloaded`]) or [`Timeout`](OverloadPolicy::Timeout)
+//!   (serve for a bounded time, then `Overloaded`).
 //! - **Deadlines** — [`Engine::classify_within`] /
-//!   [`Engine::scores_within`] (or a builder-wide
-//!   [`default_deadline`](EngineBuilder::default_deadline)) bound each
-//!   request's total latency; an expired request is answered
-//!   [`Error::DeadlineExceeded`] at admission **and re-checked at
-//!   dispatch**, so queue-aged work never wastes pool time.
-//! - **Supervision** — a panicking dispatcher loop is caught by a
-//!   supervisor that answers the dropped batch, respawns the loop with
-//!   capped exponential backoff, and after a bounded number of
-//!   restarts ([`EngineBuilder::dispatcher_restarts`]) moves the
-//!   engine to a terminal *poisoned* state where submits fail fast
-//!   with [`Error::Poisoned`].
+//!   [`Engine::scores_within`] bound each request's total latency; an
+//!   expired request is answered [`Error::DeadlineExceeded`] at
+//!   admission **and re-checked at dispatch**, so queue-aged work never
+//!   wastes pool time.
+//! - **Containment** — a panic while serving a batch is caught around
+//!   that batch, whose requests are answered [`Error::TaskFailed`]; the
+//!   next caller keeps serving. There is no terminal state.
 //!
 //! The failure paths are exercised deterministically through the
 //! `faultpoint` fail points `engine.dispatch` and `pool.region` by the
@@ -94,7 +92,6 @@ use std::panic::{self, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use telemetry::{Registry, Stopwatch};
 
@@ -103,17 +100,13 @@ mod stats;
 use stats::EngineMetrics;
 pub use stats::EngineStats;
 
-/// Default bound of the request queue (requests, not bytes). Full queue
-/// = blocked submitters = backpressure.
+/// Default bound of the request queue (requests, not bytes). A full
+/// queue makes submitters serve before they enqueue = backpressure.
 pub const DEFAULT_QUEUE_CAPACITY: usize = 256;
 
-/// Default maximum number of requests the dispatcher scores as one
+/// Default maximum number of requests one caller scores as one
 /// parallel batch.
 pub const DEFAULT_MAX_BATCH: usize = 64;
-
-/// Default number of dispatcher crashes the supervisor absorbs before
-/// declaring the engine poisoned.
-pub const DEFAULT_DISPATCHER_RESTARTS: u32 = 5;
 
 /// What a submitter experiences when the request queue is full.
 ///
@@ -123,17 +116,18 @@ pub const DEFAULT_DISPATCHER_RESTARTS: u32 = 5;
 /// `docs/RESILIENCE.md`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum OverloadPolicy {
-    /// Block until space frees up (classic backpressure; the default).
-    /// A request with a deadline still stops waiting — and is answered
-    /// [`Error::DeadlineExceeded`] — when the deadline passes.
+    /// Serve the oldest queued batch, then retry, until there is room
+    /// (backpressure; the default). A request with a deadline is
+    /// answered [`Error::DeadlineExceeded`] once the deadline passes.
     #[default]
     Block,
     /// Refuse immediately with [`Error::Overloaded`]. The submitter
-    /// never blocks; the refusal is counted in `engine_shed`.
+    /// never serves or waits; the refusal is counted in `engine_shed`.
     Shed,
-    /// Block up to the given duration, then refuse with
+    /// Serve as [`Block`](Self::Block) does until the given duration
+    /// has passed since the submit began, then refuse with
     /// [`Error::Overloaded`] (counted in `engine_shed`). A sharper
-    /// request deadline bounds the wait further.
+    /// request deadline bounds the attempt further.
     Timeout(Duration),
 }
 
@@ -170,17 +164,17 @@ impl Response {
 }
 
 /// A request answered with the other [`Response`] variant than its
-/// [`Work`] asked for (a dispatcher bug, never expected).
+/// [`Work`] asked for (a serving bug, never expected).
 const WRONG_RESPONSE: Error = Error::Internal {
     what: "request answered with the wrong response variant",
 };
 
-/// One-shot response slot a submitter blocks on.
+/// One-shot response slot a submitter takes its answer from.
 ///
 /// The slot's locks recover from poisoning rather than propagate it:
-/// fulfilment can run inside a `Drop` during a panic unwind (a
-/// supervisor catching a crashed dispatcher), where a second panic
-/// would abort the process — and the stored `Option` is never observable
+/// fulfilment can run inside a `Drop` during a panic unwind (a batch
+/// that panicked while being served), where a second panic would abort
+/// the process — and the stored `Option` is never observable
 /// half-written.
 struct Slot {
     response: Mutex<Option<Result<Response, Error>>>,
@@ -205,14 +199,23 @@ impl Slot {
         !self.claimed.swap(true, Ordering::AcqRel)
     }
 
+    fn lock(&self) -> MutexGuard<'_, Option<Result<Response, Error>>> {
+        self.response.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn fulfill(&self, response: Result<Response, Error>) {
-        let mut guard = self.response.lock().unwrap_or_else(PoisonError::into_inner);
-        *guard = Some(response);
+        *self.lock() = Some(response);
         self.ready.notify_one();
     }
 
+    /// The answer, if it is already there.
+    fn try_take(&self) -> Option<Result<Response, Error>> {
+        self.lock().take()
+    }
+
+    /// Parks until the answer arrives.
     fn wait(&self) -> Result<Response, Error> {
-        let mut guard = self.response.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut guard = self.lock();
         loop {
             if let Some(response) = guard.take() {
                 return response;
@@ -244,9 +247,9 @@ impl Request {
     /// into the completed/expired/failed counters, records end-to-end
     /// latency, releases the queue-depth slot, and wakes the submitter.
     /// Every fulfilment — success, deadline expiry, internal error,
-    /// panicked batch, poison drain — goes through here, which is what
-    /// keeps the gauge draining to zero; the claim flag makes duplicate
-    /// calls (the drop safety net after an explicit answer) no-ops.
+    /// panicked batch — goes through here, which is what keeps the gauge
+    /// draining to zero; the claim flag makes duplicate calls (the drop
+    /// safety net after an explicit answer) no-ops.
     fn finish(&self, response: Result<Response, Error>) {
         if !self.slot.claim() {
             return;
@@ -265,8 +268,8 @@ impl Request {
 impl Drop for Request {
     /// Safety net: an accepted request must never be dropped
     /// unanswered. The normal paths all finish explicitly; this catches
-    /// a dispatcher panic unwinding with a drained batch still in a
-    /// local buffer, turning a stranded submitter into a
+    /// a panic unwinding through [`Shared::serve`] with a drained batch
+    /// still in a local buffer, turning a stranded submitter into a
     /// [`Error::TaskFailed`] response.
     fn drop(&mut self) {
         self.finish(Err(Error::TaskFailed));
@@ -277,27 +280,23 @@ impl Drop for Request {
 struct QueueState {
     requests: VecDeque<Request>,
     closed: bool,
-    /// Terminal: the dispatcher exhausted its restart budget. Implies
-    /// `closed`; submits fail fast with [`Error::Poisoned`].
-    poisoned: bool,
+    /// Batches drained from `requests` and not yet answered.
+    in_flight: usize,
 }
 
-/// State shared by every engine handle and the dispatcher thread.
-/// (`Debug` is manual: requests hold graphs and response slots that are
-/// noise in a handle dump.)
+/// State shared by every engine handle. Whoever waits on an answer
+/// drains the queue, so no thread belongs to the engine; every queued
+/// request has a submitter inside a call that holds a handle, so
+/// dropping the last handle needs no drain.
 struct Shared {
     model: GraphHdModel,
     state: Mutex<QueueState>,
-    /// Signalled when queue space frees up (submitters wait here).
-    not_full: Condvar,
-    /// Signalled when requests arrive or the queue closes (the
-    /// dispatcher waits here).
-    not_empty: Condvar,
+    /// Signalled when the queue is closed and the last in-flight batch
+    /// is answered ([`Engine::shutdown`] waits here).
+    drained: Condvar,
     capacity: usize,
     max_batch: usize,
     policy: OverloadPolicy,
-    /// Deadline applied to requests submitted without an explicit one.
-    default_deadline: Option<Duration>,
     /// Serving telemetry (lock-free to record; never touches `state`).
     /// Shared with every queued [`Request`], whose finish path records
     /// its own outcome.
@@ -306,38 +305,10 @@ struct Shared {
 
 impl Shared {
     /// The queue lock, recovering from poisoning: every `QueueState`
-    /// mutation is a single push/pop/flag write that cannot be observed
-    /// half-done, and the supervisor must still be able to drain and
-    /// poison the queue after an injected panic unwound the dispatcher.
+    /// mutation is a single push/drain/flag/count write that cannot be
+    /// observed half-done, and no code that can panic runs under it.
     fn state_lock(&self) -> MutexGuard<'_, QueueState> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Marks the queue closed and wakes everyone: blocked submitters
-    /// return [`Error::ShutDown`], the dispatcher drains and exits.
-    fn close(&self) {
-        let mut state = self.state_lock();
-        state.closed = true;
-        self.not_empty.notify_all();
-        self.not_full.notify_all();
-    }
-
-    /// Terminal failure: the dispatcher exhausted its restart budget.
-    /// Closes the queue, marks the engine poisoned, fails every queued
-    /// request with [`Error::Poisoned`], and wakes everyone — blocked
-    /// submitters observe the flag and fail fast.
-    fn poison(&self) {
-        let stranded: Vec<Request> = {
-            let mut state = self.state_lock();
-            state.poisoned = true;
-            state.closed = true;
-            state.requests.drain(..).collect()
-        };
-        for request in &stranded {
-            request.finish(Err(Error::Poisoned));
-        }
-        self.not_empty.notify_all();
-        self.not_full.notify_all();
     }
 
     /// Builds the accepted-request record (stopwatch running, counters
@@ -355,12 +326,12 @@ impl Shared {
         }
     }
 
-    /// Submit under the engine's overload policy: waits for queue space
-    /// as the policy allows, enqueues, wakes the dispatcher.
+    /// Submit under the engine's overload policy: while the queue is
+    /// full, serve the oldest batch as the policy allows, then enqueue.
     ///
-    /// Refusals are never accepted (closed/poisoned → `rejected`, full
-    /// queue under `Shed`/`Timeout` → `shed`). A request whose deadline
-    /// passes before space frees up *is* accepted and immediately
+    /// Refusals are never accepted (closed → `rejected`, full queue
+    /// under `Shed`/`Timeout` → `shed`). A request whose deadline
+    /// passes before there is room *is* accepted and immediately
     /// answered [`Error::DeadlineExceeded`] — expiry is an outcome of
     /// an admitted request, which is what keeps
     /// `accepted == completed + failed + expired` reconcilable.
@@ -370,157 +341,127 @@ impl Shared {
         work: Work,
         deadline: Option<Instant>,
     ) -> Result<Arc<Slot>, Error> {
-        let deadline = deadline.or_else(|| self.default_deadline.map(|d| Instant::now() + d));
-        // Bound of a Timeout-policy wait, fixed at entry.
+        // Bound of a Timeout-policy attempt, fixed at entry.
         let policy_bound = match self.policy {
             OverloadPolicy::Timeout(limit) => Some(Instant::now() + limit),
             _ => None,
         };
         let mut state = self.state_lock();
         loop {
-            if state.poisoned {
-                self.metrics.rejected.inc();
-                return Err(Error::Poisoned);
-            }
             if state.closed {
                 self.metrics.rejected.inc();
                 return Err(Error::ShutDown);
             }
-            if let Some(deadline) = deadline {
-                if Instant::now() >= deadline {
-                    // Expired while blocked (or dead on arrival):
-                    // accepted, then answered DeadlineExceeded.
-                    drop(state);
-                    let request = self.accept(graph, work, Some(deadline));
-                    request.finish(Err(Error::DeadlineExceeded));
-                    return Ok(request.slot.clone());
-                }
+            if deadline.is_some_and(|deadline| Instant::now() >= deadline) {
+                // Expired while serving (or dead on arrival): accepted,
+                // then answered DeadlineExceeded.
+                drop(state);
+                let request = self.accept(graph, work, deadline);
+                request.finish(Err(Error::DeadlineExceeded));
+                return Ok(request.slot.clone());
             }
             if state.requests.len() < self.capacity {
                 break;
             }
-            match self.policy {
-                OverloadPolicy::Shed => {
-                    self.metrics.shed.inc();
-                    return Err(Error::Overloaded);
-                }
-                OverloadPolicy::Block => match deadline {
-                    None => {
-                        state = self
-                            .not_full
-                            .wait(state)
-                            .unwrap_or_else(PoisonError::into_inner)
-                    }
-                    Some(deadline) => {
-                        state = self.wait_until(state, deadline);
-                    }
-                },
-                OverloadPolicy::Timeout(_) => {
-                    let bound = policy_bound.unwrap_or_else(Instant::now);
-                    if Instant::now() >= bound {
-                        self.metrics.shed.inc();
-                        return Err(Error::Overloaded);
-                    }
-                    let wake = match deadline {
-                        Some(deadline) => bound.min(deadline),
-                        None => bound,
-                    };
-                    state = self.wait_until(state, wake);
-                }
+            let refuse = self.policy == OverloadPolicy::Shed
+                || policy_bound.is_some_and(|bound| Instant::now() >= bound);
+            if refuse {
+                self.metrics.shed.inc();
+                return Err(Error::Overloaded);
             }
+            // The queue is full, hence not empty: answer its oldest
+            // batch instead of parking.
+            self.serve(state);
+            state = self.state_lock();
         }
-        // The stopwatch starts after the backpressure wait: queue-wait
-        // and end-to-end latency measure accepted requests, while time
-        // blocked on a full queue shows up in the submitter's own
+        // The stopwatch starts after the backpressure: queue-wait and
+        // end-to-end latency measure accepted requests, while time spent
+        // serving a full queue shows up in the submitter's own
         // end-to-end numbers (the bench measures both).
         let request = self.accept(graph, work, deadline);
         let slot = Arc::clone(&request.slot);
         state.requests.push_back(request);
-        self.not_empty.notify_one();
         Ok(slot)
     }
 
-    /// Waits on `not_full` until signalled or `until` passes (whichever
-    /// first); the caller re-evaluates the queue and its own bounds.
-    fn wait_until<'a>(
-        &self,
-        state: MutexGuard<'a, QueueState>,
-        until: Instant,
-    ) -> MutexGuard<'a, QueueState> {
-        let timeout = until.saturating_duration_since(Instant::now());
-        let (state, _timed_out) = self
-            .not_full
-            .wait_timeout(state, timeout)
-            .unwrap_or_else(PoisonError::into_inner);
-        state
+    /// Waits for the answer in `slot`, serving queued batches until it
+    /// is there. An empty queue with no answer yet means the request is
+    /// in flight on another thread, which will answer it: park on the
+    /// slot.
+    fn answer(&self, slot: &Slot) -> Result<Response, Error> {
+        loop {
+            if let Some(response) = slot.try_take() {
+                return response;
+            }
+            let state = self.state_lock();
+            if state.requests.is_empty() {
+                drop(state);
+                return slot.wait();
+            }
+            self.serve(state);
+        }
     }
 
-    /// Dispatcher loop: drain up to `max_batch` requests, re-check
-    /// deadlines, score the survivors as one parallel region, repeat.
-    /// On close, keeps draining until the queue is empty — accepted
-    /// requests are always answered.
-    fn dispatch(&self) {
-        loop {
-            let batch: Vec<Request> = {
-                let mut state = self.state_lock();
-                loop {
-                    if !state.requests.is_empty() {
-                        break;
-                    }
-                    if state.closed {
-                        return;
-                    }
-                    state = self
-                        .not_empty
-                        .wait(state)
-                        .unwrap_or_else(PoisonError::into_inner);
-                }
-                let take = state.requests.len().min(self.max_batch);
-                let batch: Vec<Request> = state.requests.drain(..take).collect();
-                // Space freed: wake every blocked submitter (capacity may
-                // exceed the number waiting).
-                self.not_full.notify_all();
-                batch
-            };
-            self.metrics.batch_size.record(batch.len() as u64);
-            for request in &batch {
-                request.watch.observe(&self.metrics.queue_wait_ns);
-            }
-            // Chaos hook: an injected error fails the drained batch the
-            // way a crashed region would; an injected panic unwinds to
-            // the supervisor (the batch answers itself via Drop); an
-            // injected delay ages the queue behind a slow dispatcher.
-            if faultpoint::inject("engine.dispatch") {
-                for request in &batch {
-                    request.finish(Err(Error::TaskFailed));
-                }
-                continue;
-            }
-            // Deadline re-check at dispatch: a request that aged out in
-            // the queue is answered without spending pool time on it.
-            // One clock read covers the whole batch.
-            let live: Vec<&Request> = if batch.iter().any(|r| r.deadline.is_some()) {
-                let now = Instant::now();
-                batch
-                    .iter()
-                    .filter(|request| match request.deadline {
-                        Some(deadline) if now >= deadline => {
-                            request.finish(Err(Error::DeadlineExceeded));
-                            false
-                        }
-                        _ => true,
-                    })
-                    .collect()
-            } else {
-                batch.iter().collect()
-            };
-            if live.is_empty() {
-                continue;
-            }
-            let dispatch_span = self.metrics.dispatch_ns.start_span();
-            self.run_batch(&live);
-            drop(dispatch_span);
+    /// Drains up to `max_batch` requests from the (non-empty) queue and
+    /// answers them on this thread and the pool. A panic anywhere in
+    /// the body is contained here: the [`Request`] drop safety net
+    /// answers the batch [`Error::TaskFailed`] as it unwinds. The last
+    /// in-flight batch of a closed queue wakes [`Engine::shutdown`].
+    fn serve(&self, mut state: MutexGuard<'_, QueueState>) {
+        let take = state.requests.len().min(self.max_batch);
+        let batch: Vec<Request> = state.requests.drain(..take).collect();
+        state.in_flight += 1;
+        drop(state);
+        let _contained = panic::catch_unwind(AssertUnwindSafe(|| self.dispatch(batch)));
+        let mut state = self.state_lock();
+        state.in_flight -= 1;
+        let drained = state.closed && state.in_flight == 0;
+        drop(state);
+        if drained {
+            self.drained.notify_all();
         }
+    }
+
+    /// The batch body: record the drain, re-check deadlines, score the
+    /// survivors as one parallel region.
+    fn dispatch(&self, batch: Vec<Request>) {
+        self.metrics.batch_size.record(batch.len() as u64);
+        for request in &batch {
+            request.watch.observe(&self.metrics.queue_wait_ns);
+        }
+        // Chaos hook: an injected error fails the drained batch the way
+        // a crashed region would; an injected panic unwinds to `serve`
+        // (the batch answers itself via Drop); an injected delay ages
+        // the queue behind a slow batch.
+        if faultpoint::inject("engine.dispatch") {
+            for request in &batch {
+                request.finish(Err(Error::TaskFailed));
+            }
+            return;
+        }
+        // Deadline re-check at dispatch: a request that aged out in the
+        // queue is answered without spending pool time on it. One clock
+        // read covers the whole batch.
+        let live: Vec<&Request> = if batch.iter().any(|r| r.deadline.is_some()) {
+            let now = Instant::now();
+            batch
+                .iter()
+                .filter(|request| match request.deadline {
+                    Some(deadline) if now >= deadline => {
+                        request.finish(Err(Error::DeadlineExceeded));
+                        false
+                    }
+                    _ => true,
+                })
+                .collect()
+        } else {
+            batch.iter().collect()
+        };
+        if live.is_empty() {
+            return;
+        }
+        let _dispatch_span = self.metrics.dispatch_ns.start_span();
+        self.run_batch(&live);
     }
 
     /// Answers one batch on the model's pool. In each pool range the
@@ -529,105 +470,33 @@ impl Shared {
     /// scans; `Scores` requests go through [`GraphHdModel::scores`] one
     /// by one. Labels are those of [`GraphHdModel::predict`].
     fn run_batch(&self, batch: &[&Request]) {
-        let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
-            let model = &self.model;
-            model
-                .encoder()
-                .pool()
-                .par_for_ranges(batch.len(), 1, |range| {
-                    let mut classify = Vec::new();
-                    for &request in &batch[range] {
-                        match request.work {
-                            Work::Classify => classify.push(request),
-                            Work::Scores => {
-                                request.finish(Ok(Response::Scores(model.scores(&request.graph))))
-                            }
+        let model = &self.model;
+        model
+            .encoder()
+            .pool()
+            .par_for_ranges(batch.len(), 1, |range| {
+                let mut classify = Vec::new();
+                for &request in &batch[range] {
+                    match request.work {
+                        Work::Classify => classify.push(request),
+                        Work::Scores => {
+                            request.finish(Ok(Response::Scores(model.scores(&request.graph))))
                         }
                     }
-                    let graphs: Vec<&Graph> = classify.iter().map(|r| &r.graph).collect();
-                    for (request, class) in classify.iter().zip(model.predict_many(&graphs)) {
-                        request.finish(Ok(Response::Class(class)));
-                    }
-                });
-        }));
-        if outcome.is_err() {
-            // A panicking batch must not strand its submitters: every
-            // request the region did not answer reports the failure
-            // instead (already-claimed slots make this a no-op).
-            for request in batch {
-                request.finish(Err(Error::TaskFailed));
-            }
-        }
-    }
-
-    /// Supervisor loop, run on the dispatcher thread: catches a
-    /// panicking [`dispatch`](Self::dispatch) loop, counts the restart,
-    /// backs off exponentially (1 ms doubling, capped at 50 ms) and
-    /// respawns the loop — up to `max_restarts` times, after which the
-    /// engine is [poisoned](Self::poison). In-flight requests of a
-    /// crashed iteration are answered by the [`Request`] drop safety
-    /// net as the panic unwinds.
-    fn supervise(&self, max_restarts: u32) {
-        let mut restarts: u32 = 0;
-        loop {
-            let outcome = panic::catch_unwind(AssertUnwindSafe(|| self.dispatch()));
-            match outcome {
-                // Clean exit: queue closed and drained.
-                Ok(()) => return,
-                Err(_) => {
-                    if restarts >= max_restarts {
-                        self.poison();
-                        return;
-                    }
-                    restarts += 1;
-                    self.metrics.dispatcher_restarts.inc();
-                    let backoff = Duration::from_millis((1u64 << restarts.min(6)).min(50));
-                    std::thread::sleep(backoff);
                 }
-            }
-        }
-    }
-}
-
-/// Joins the dispatcher when the last engine handle goes away, after
-/// closing the queue — the drop path is the same graceful drain as
-/// [`Engine::shutdown`].
-struct DispatcherGuard {
-    shared: Arc<Shared>,
-    handle: Mutex<Option<JoinHandle<()>>>,
-}
-
-impl DispatcherGuard {
-    /// Closes the queue and joins the dispatcher, **holding the handle
-    /// lock through the join**: when an explicit `shutdown` races the
-    /// last handle's drop (or another `shutdown`), the loser blocks
-    /// here until the winner's drain completes, so every caller
-    /// observes a fully-drained engine — not merely a closed one.
-    fn shutdown(&self) {
-        self.shared.close();
-        let mut handle = self.handle.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(handle) = handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for DispatcherGuard {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-impl std::fmt::Debug for DispatcherGuard {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DispatcherGuard").finish_non_exhaustive()
+                let graphs: Vec<&Graph> = classify.iter().map(|r| &r.graph).collect();
+                for (request, class) in classify.iter().zip(model.predict_many(&graphs)) {
+                    request.finish(Ok(Response::Class(class)));
+                }
+            });
     }
 }
 
 /// A long-lived serving handle: owns one trained encoder + model and
 /// answers classification requests from many threads through a bounded,
-/// batching request queue. Cloning is cheap (two `Arc`s) and every clone
-/// talks to the same queue and model.
+/// batching request queue. Cloning is cheap (one `Arc`) and every clone
+/// talks to the same queue and model. The engine owns no thread:
+/// callers serve the queue while they wait.
 ///
 /// Built by [`EngineBuilder`] (see [`Engine::builder`]) from a trained
 /// model or a snapshot. See the [crate documentation](crate) for the
@@ -635,7 +504,6 @@ impl std::fmt::Debug for DispatcherGuard {
 #[derive(Clone)]
 pub struct Engine {
     shared: Arc<Shared>,
-    guard: Arc<DispatcherGuard>,
 }
 
 impl std::fmt::Debug for Engine {
@@ -669,22 +537,12 @@ impl Engine {
         self.shared.model.num_classes()
     }
 
-    /// Requests currently waiting in the queue (excludes the batch being
+    /// Requests currently waiting in the queue (excludes batches being
     /// scored). A sustained value near the capacity means submitters are
     /// experiencing backpressure.
     #[must_use]
     pub fn pending(&self) -> usize {
         self.shared.state_lock().requests.len()
-    }
-
-    /// Whether the engine is terminally out of service: its dispatcher
-    /// crashed more times than the restart budget
-    /// ([`EngineBuilder::dispatcher_restarts`]) allows. A poisoned
-    /// engine answers every submit with [`Error::Poisoned`]; the only
-    /// recovery is building a new engine.
-    #[must_use]
-    pub fn is_poisoned(&self) -> bool {
-        self.shared.state_lock().poisoned
     }
 
     /// A typed snapshot of the engine's serving telemetry: queue depth
@@ -700,11 +558,8 @@ impl Engine {
     /// counts keep flowing.
     #[must_use]
     pub fn stats(&self) -> EngineStats {
-        let (queued, poisoned) = {
-            let state = self.shared.state_lock();
-            (state.requests.len(), state.poisoned)
-        };
-        self.shared.metrics.snapshot(queued, poisoned)
+        let queued = self.pending();
+        self.shared.metrics.snapshot(queued)
     }
 
     /// The engine-owned metric registry: the `engine_*` serving metrics
@@ -716,19 +571,16 @@ impl Engine {
         &self.shared.metrics.registry
     }
 
-    /// Classifies one graph: blocks as the overload policy allows while
-    /// the queue is full, then until the dispatcher has scored the
-    /// request. The result is bit-identical to
+    /// Classifies one graph: serves queued work as the overload policy
+    /// allows while the queue is full, then until the request is
+    /// answered. The result is bit-identical to
     /// [`GraphHdModel::predict`].
     ///
     /// # Errors
     ///
     /// Returns [`Error::ShutDown`] after [`shutdown`](Self::shutdown),
-    /// [`Error::Poisoned`] on a dead engine, [`Error::Overloaded`] when
-    /// a full queue sheds the request, [`Error::DeadlineExceeded`] if a
-    /// configured [`default_deadline`](EngineBuilder::default_deadline)
-    /// expires first, and [`Error::TaskFailed`] if the request's batch
-    /// panicked.
+    /// [`Error::Overloaded`] when a full queue sheds the request, and
+    /// [`Error::TaskFailed`] if the request's batch panicked.
     pub fn classify(&self, graph: &Graph) -> Result<u32, Error> {
         self.request(graph, Work::Classify, None)?.class()
     }
@@ -736,13 +588,13 @@ impl Engine {
     /// [`classify`](Self::classify) with a per-request latency bound:
     /// the request is answered within roughly `timeout` or fails with
     /// [`Error::DeadlineExceeded`]. The deadline covers the whole
-    /// journey — admission wait, queue time (re-checked at dispatch, so
-    /// expired requests never waste pool time) — and overrides the
-    /// builder's [`default_deadline`](EngineBuilder::default_deadline).
+    /// journey — admission and queue time (re-checked at dispatch, so
+    /// expired requests never waste pool time).
     ///
     /// # Errors
     ///
-    /// As [`classify`](Self::classify).
+    /// As [`classify`](Self::classify), plus
+    /// [`Error::DeadlineExceeded`].
     pub fn classify_within(&self, graph: &Graph, timeout: Duration) -> Result<u32, Error> {
         self.request(graph, Work::Classify, Some(timeout))?.class()
     }
@@ -762,13 +614,13 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// As [`classify`](Self::classify).
+    /// As [`classify_within`](Self::classify_within).
     pub fn scores_within(&self, graph: &Graph, timeout: Duration) -> Result<Vec<f64>, Error> {
         self.request(graph, Work::Scores, Some(timeout))?.scores()
     }
 
-    /// Classifies a batch: all graphs are enqueued (blocking as
-    /// backpressure demands), then awaited in order. Results are
+    /// Classifies a batch: all graphs are enqueued (serving as
+    /// backpressure demands), then answered in order. Results are
     /// bit-identical to [`GraphHdModel::predict_all`]. Accepts both
     /// `&[Graph]` and `&[&Graph]`.
     ///
@@ -789,7 +641,8 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// As [`classify`](Self::classify); the first failed request wins.
+    /// As [`classify_within`](Self::classify_within); the first failed
+    /// request wins.
     pub fn classify_batch_within<G: Borrow<Graph>>(
         &self,
         graphs: &[G],
@@ -798,9 +651,8 @@ impl Engine {
         self.request_batch(graphs, Some(timeout))
     }
 
-    /// The single-graph submit-and-await path. A `timeout` becomes an
-    /// absolute deadline at entry; `None` leaves the request to the
-    /// builder's default deadline.
+    /// The single-graph submit-and-answer path. A `timeout` becomes an
+    /// absolute deadline at entry.
     fn request(
         &self,
         graph: &Graph,
@@ -808,40 +660,67 @@ impl Engine {
         timeout: Option<Duration>,
     ) -> Result<Response, Error> {
         let deadline = timeout.map(|timeout| Instant::now() + timeout);
-        self.shared.submit(graph.clone(), work, deadline)?.wait()
+        let slot = self.shared.submit(graph.clone(), work, deadline)?;
+        self.shared.answer(&slot)
     }
 
     /// The batch path: enqueues every graph under one deadline fixed at
-    /// entry, then awaits the answers in order.
+    /// entry, then answers them in order. A refused submit stops the
+    /// enqueueing, but the requests already queued are answered before
+    /// the refusal is returned, so no queued request outlives its
+    /// submitter's call.
     fn request_batch<G: Borrow<Graph>>(
         &self,
         graphs: &[G],
         timeout: Option<Duration>,
     ) -> Result<Vec<u32>, Error> {
         let deadline = timeout.map(|timeout| Instant::now() + timeout);
-        let slots = graphs
+        let mut refused = Ok(());
+        let slots: Vec<Arc<Slot>> = graphs
             .iter()
-            .map(|graph| {
-                self.shared
-                    .submit(graph.borrow().clone(), Work::Classify, deadline)
+            .map_while(|graph| {
+                let graph = graph.borrow().clone();
+                let submitted = self.shared.submit(graph, Work::Classify, deadline);
+                submitted.map_err(|error| refused = Err(error)).ok()
             })
-            .collect::<Result<Vec<_>, Error>>()?;
-        slots.iter().map(|slot| slot.wait()?.class()).collect()
+            .collect();
+        let answers: Vec<Result<u32, Error>> = slots
+            .iter()
+            .map(|slot| self.shared.answer(slot)?.class())
+            .collect();
+        let classes = answers.into_iter().collect::<Result<Vec<u32>, Error>>()?;
+        refused.map(|()| classes)
     }
 
     /// Graceful shutdown: closes the queue (new submissions fail with
-    /// [`Error::ShutDown`]), waits for every already-accepted request to
-    /// be answered, and joins the dispatcher. Idempotent; dropping the
-    /// last handle does the same.
+    /// [`Error::ShutDown`]), answers every request still queued, and
+    /// waits until batches in flight on other threads are answered.
+    /// Idempotent, and safe to race with other `shutdown` calls: each
+    /// returns only once the engine is fully drained.
     pub fn shutdown(&self) {
-        self.guard.shutdown();
+        let shared = &*self.shared;
+        let mut state = shared.state_lock();
+        state.closed = true;
+        loop {
+            if !state.requests.is_empty() {
+                shared.serve(state);
+                state = shared.state_lock();
+            } else if state.in_flight == 0 {
+                return;
+            } else {
+                state = shared
+                    .drained
+                    .wait(state)
+                    .unwrap_or_else(PoisonError::into_inner);
+            }
+        }
     }
 }
 
 /// Fluent builder for [`Engine`]: execution knobs (thread count or
-/// explicit pool) and serving knobs (queue bounds, overload policy,
-/// deadlines, restart budget), with one validating construction step
-/// at the end — [`from_model`](Self::from_model) for a trained model or
+/// explicit pool) and serving knobs (queue bounds, overload policy),
+/// with one validating construction step at the end —
+/// [`from_model`](Self::from_model) for a trained model or
 /// [`from_snapshot`](Self::from_snapshot) for a saved one.
 ///
 /// # Examples
@@ -875,8 +754,6 @@ pub struct EngineBuilder {
     queue_capacity: usize,
     max_batch: usize,
     overload_policy: OverloadPolicy,
-    default_deadline: Option<Duration>,
-    dispatcher_restarts: u32,
 }
 
 impl Default for EngineBuilder {
@@ -893,8 +770,6 @@ impl EngineBuilder {
             queue_capacity: DEFAULT_QUEUE_CAPACITY,
             max_batch: DEFAULT_MAX_BATCH,
             overload_policy: OverloadPolicy::default(),
-            default_deadline: None,
-            dispatcher_restarts: DEFAULT_DISPATCHER_RESTARTS,
         }
     }
 
@@ -912,43 +787,26 @@ impl EngineBuilder {
         self
     }
 
-    /// Bounds the request queue: submitters block while `capacity`
-    /// requests are waiting. Default
+    /// Bounds the request queue: a submitter that finds `capacity`
+    /// requests waiting serves before it enqueues. Default
     /// [`DEFAULT_QUEUE_CAPACITY`].
     pub fn queue_capacity(mut self, capacity: usize) -> Self {
         self.queue_capacity = capacity;
         self
     }
 
-    /// Caps how many queued requests the dispatcher scores as one
-    /// parallel batch. Default [`DEFAULT_MAX_BATCH`].
+    /// Caps how many queued requests one caller scores as one parallel
+    /// batch. Default [`DEFAULT_MAX_BATCH`].
     pub fn max_batch(mut self, max_batch: usize) -> Self {
         self.max_batch = max_batch;
         self
     }
 
-    /// Selects what a full queue does to submitters: block (default),
-    /// shed immediately, or block up to a bound. See [`OverloadPolicy`].
+    /// Selects what a full queue does to submitters: serve until there
+    /// is room (default), shed immediately, or serve up to a bound. See
+    /// [`OverloadPolicy`].
     pub fn overload_policy(mut self, policy: OverloadPolicy) -> Self {
         self.overload_policy = policy;
-        self
-    }
-
-    /// Applies a deadline of `deadline` from submission to every
-    /// request that does not carry its own (see
-    /// [`Engine::classify_within`]). Unset by default: requests wait as
-    /// long as they must.
-    pub fn default_deadline(mut self, deadline: Duration) -> Self {
-        self.default_deadline = Some(deadline);
-        self
-    }
-
-    /// Bounds how many dispatcher crashes the supervisor absorbs before
-    /// the engine is declared poisoned (default
-    /// [`DEFAULT_DISPATCHER_RESTARTS`]). Zero means the first crash is
-    /// terminal.
-    pub fn dispatcher_restarts(mut self, restarts: u32) -> Self {
-        self.dispatcher_restarts = restarts;
         self
     }
 
@@ -975,7 +833,7 @@ impl EngineBuilder {
             Some(pool) => model.with_pool(Arc::clone(pool)),
             None => model,
         };
-        self.spawn(model)
+        Ok(self.build(model))
     }
 
     /// Loads a snapshot (see [`GraphHdModel::save`]) and starts serving
@@ -991,45 +849,29 @@ impl EngineBuilder {
         self.from_model(model)
     }
 
-    /// Wraps the model in the shared state and spawns the supervised
-    /// dispatcher.
-    fn spawn(self, model: GraphHdModel) -> Result<Engine, Error> {
+    /// Wraps the model in the shared state.
+    fn build(self, model: GraphHdModel) -> Engine {
         let metrics = Arc::new(EngineMetrics::new());
         // One registry per engine, covering all three layers a request
         // crosses: the serving queue, the pool it is scored on, and the
         // model crate's process-global encode/predict counters.
         model.encoder().pool().register_metrics(&metrics.registry);
         graphhd::metrics::register_into(&metrics.registry);
-        let shared = Arc::new(Shared {
-            model,
-            state: Mutex::new(QueueState {
-                requests: VecDeque::new(),
-                closed: false,
-                poisoned: false,
+        Engine {
+            shared: Arc::new(Shared {
+                model,
+                state: Mutex::new(QueueState {
+                    requests: VecDeque::new(),
+                    closed: false,
+                    in_flight: 0,
+                }),
+                drained: Condvar::new(),
+                capacity: self.queue_capacity,
+                max_batch: self.max_batch,
+                policy: self.overload_policy,
+                metrics,
             }),
-            not_full: Condvar::new(),
-            not_empty: Condvar::new(),
-            capacity: self.queue_capacity,
-            max_batch: self.max_batch,
-            policy: self.overload_policy,
-            default_deadline: self.default_deadline,
-            metrics,
-        });
-        let dispatcher = {
-            let shared = Arc::clone(&shared);
-            let max_restarts = self.dispatcher_restarts;
-            std::thread::Builder::new()
-                .name("graphhd-engine".into())
-                .spawn(move || shared.supervise(max_restarts))
-                .map_err(Error::from)?
-        };
-        Ok(Engine {
-            guard: Arc::new(DispatcherGuard {
-                shared: Arc::clone(&shared),
-                handle: Mutex::new(Some(dispatcher)),
-            }),
-            shared,
-        })
+        }
     }
 }
 
@@ -1118,7 +960,7 @@ mod tests {
     #[test]
     fn classify_batch_matches_predict_all_through_tiny_queue() {
         // Capacity 2 with a 32-graph batch: the submit loop must ride
-        // the backpressure (dispatcher drains while we enqueue).
+        // the backpressure (the submitter serves while it enqueues).
         let (engine, graphs) = toy_engine(512, 2, 2);
         let expected = engine.model().predict_batch(&graphs);
         assert_eq!(
@@ -1377,37 +1219,20 @@ mod tests {
     }
 
     #[test]
-    fn default_deadline_applies_to_plain_classify() {
-        let graphs = toy().0;
-        let engine = Engine::builder()
-            .default_deadline(Duration::ZERO)
-            .from_model(toy_model(256))
-            .expect("valid knobs");
-        assert_eq!(
-            engine.classify(&graphs[0]).unwrap_err(),
-            Error::DeadlineExceeded
-        );
-        assert_eq!(engine.stats().expired, 1);
-    }
-
-    #[test]
     fn healthy_engine_reports_no_resilience_events() {
         let (engine, graphs) = toy_engine(512, 8, 4);
         for graph in &graphs {
             engine.classify(graph).expect("engine alive");
         }
         let stats = engine.stats();
-        assert!(!stats.poisoned);
-        assert!(!engine.is_poisoned());
         assert_eq!(stats.shed, 0);
         assert_eq!(stats.expired, 0);
-        assert_eq!(stats.dispatcher_restarts, 0);
     }
 
     #[test]
     fn concurrent_shutdowns_both_observe_a_drained_engine() {
-        // The drop/shutdown race fix: whichever caller loses the join
-        // race must still block until the drain completes.
+        // Racing shutdowns: whichever caller finds the queue empty first
+        // must still wait until the other's in-flight batch is answered.
         let (engine, graphs) = toy_engine(512, 4, 2);
         let clone = engine.clone();
         std::thread::scope(|scope| {

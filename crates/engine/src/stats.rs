@@ -8,12 +8,12 @@
 
 use telemetry::{Counter, Gauge, Histogram, HistogramSnapshot, Registry};
 
-/// Metric handles shared by every engine handle and the dispatcher.
+/// Metric handles shared by every engine handle and queued request.
 #[derive(Debug)]
 pub(crate) struct EngineMetrics {
-    /// Requests accepted but not yet answered: queued **plus** the batch
-    /// currently being scored (unlike [`Engine::pending`], which is
-    /// queued only).
+    /// Requests accepted but not yet answered: queued **plus** the
+    /// batches currently being scored (unlike [`Engine::pending`], which
+    /// is queued only).
     ///
     /// [`Engine::pending`]: crate::Engine::pending
     pub queue_depth: Gauge,
@@ -33,10 +33,8 @@ pub(crate) struct EngineMetrics {
     ///
     /// [`Error::DeadlineExceeded`]: graphhd::Error::DeadlineExceeded
     pub expired: Counter,
-    /// Times the supervisor respawned a crashed dispatcher loop.
-    pub dispatcher_restarts: Counter,
-    /// Nanoseconds from acceptance to dispatcher drain (the queue-age
-    /// distribution: how long requests sit before being scored).
+    /// Nanoseconds from acceptance to drain (the queue-age distribution:
+    /// how long requests sit before a caller takes them to score).
     pub queue_wait_ns: Histogram,
     /// Requests per dispatched batch (a value histogram, not a duration).
     pub batch_size: Histogram,
@@ -60,7 +58,6 @@ impl EngineMetrics {
             failed: Counter::new(),
             shed: Counter::new(),
             expired: Counter::new(),
-            dispatcher_restarts: Counter::new(),
             queue_wait_ns: Histogram::new(),
             batch_size: Histogram::new(),
             dispatch_ns: Histogram::new(),
@@ -103,14 +100,9 @@ impl EngineMetrics {
             "Requests answered DeadlineExceeded at admission or dispatch",
             &metrics.expired,
         );
-        r.register_counter(
-            "engine_dispatcher_restarts",
-            "Dispatcher loop crashes the supervisor recovered from",
-            &metrics.dispatcher_restarts,
-        );
         r.register_histogram(
             "engine_queue_wait_ns",
-            "Acceptance to dispatcher drain",
+            "Acceptance to drain by a serving caller",
             &metrics.queue_wait_ns,
         );
         r.register_histogram(
@@ -132,18 +124,16 @@ impl EngineMetrics {
     }
 
     /// The typed snapshot behind [`Engine::stats`](crate::Engine::stats).
-    pub(crate) fn snapshot(&self, queued: usize, poisoned: bool) -> EngineStats {
+    pub(crate) fn snapshot(&self, queued: usize) -> EngineStats {
         EngineStats {
             queue_depth: self.queue_depth.get(),
             queued,
-            poisoned,
             accepted: self.accepted.get(),
             rejected: self.rejected.get(),
             completed: self.completed.get(),
             failed: self.failed.get(),
             shed: self.shed.get(),
             expired: self.expired.get(),
-            dispatcher_restarts: self.dispatcher_restarts.get(),
             queue_wait_ns: self.queue_wait_ns.snapshot(),
             batch_size: self.batch_size.snapshot(),
             dispatch_ns: self.dispatch_ns.snapshot(),
@@ -166,19 +156,15 @@ pub struct EngineStats {
     /// Requests accepted but not yet answered (queued + in-flight).
     /// Zero after a drained shutdown.
     pub queue_depth: i64,
-    /// Requests waiting in the queue right now (excludes the in-flight
-    /// batch; the same reading as [`Engine::pending`](crate::Engine::pending)).
+    /// Requests waiting in the queue right now (excludes in-flight
+    /// batches; the same reading as [`Engine::pending`](crate::Engine::pending)).
     pub queued: usize,
-    /// Whether the engine is terminally out of service (the dispatcher
-    /// exceeded its restart budget; see
-    /// [`Engine::is_poisoned`](crate::Engine::is_poisoned)).
-    pub poisoned: bool,
     /// Requests accepted into the queue (including ones later answered
     /// `DeadlineExceeded`). At any drained quiescent point,
     /// `accepted == completed + failed + expired`.
     pub accepted: u64,
-    /// Submissions refused after shutdown or poisoning (never
-    /// accepted; disjoint from `shed`).
+    /// Submissions refused after shutdown (never accepted; disjoint
+    /// from `shed`).
     pub rejected: u64,
     /// Requests answered successfully.
     pub completed: u64,
@@ -189,10 +175,8 @@ pub struct EngineStats {
     pub shed: u64,
     /// Requests answered `DeadlineExceeded` (counted in `accepted`).
     pub expired: u64,
-    /// Dispatcher crashes the supervisor recovered from by respawning.
-    pub dispatcher_restarts: u64,
-    /// Nanoseconds from acceptance to dispatcher drain (queue age at
-    /// the moment a request leaves the queue).
+    /// Nanoseconds from acceptance to drain (queue age at the moment a
+    /// request leaves the queue).
     pub queue_wait_ns: HistogramSnapshot,
     /// Requests per dispatched batch.
     pub batch_size: HistogramSnapshot,

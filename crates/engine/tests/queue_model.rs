@@ -1,28 +1,37 @@
-//! Model checking of the engine's bounded request queue.
+//! Model checking of the engine's request queue.
 //!
-//! `Shared` in `src/lib.rs` implements a close-aware bounded MPSC
-//! queue: submitters block on `not_full` (backpressure), the dispatcher
-//! blocks on `not_empty`, and `close` wakes everyone — with the
-//! contract that **every accepted request is answered** because the
-//! dispatcher keeps draining after close until the queue is empty.
-//! These tests rebuild that protocol in miniature on
-//! `parallel::model` primitives and explore every interleaving within
-//! the preemption bound. One test hands the checker a dispatcher
-//! with the classic drain bug (checking `closed` before emptiness) and
-//! requires that the stranded-request schedule is found.
+//! The engine owns no thread. `Shared` in `src/lib.rs` keeps a bounded
+//! queue that the callers themselves drain:
 //!
-//! The overload policies are modeled too: `Shed` takes no wait
-//! transition at all, and `Timeout` is reduced to its synchronization
-//! essence — wait **at most once** for space, then shed — because
-//! `model::Condvar` deliberately has no `wait_timeout` (a timeout that
-//! fires is indistinguishable, for interleaving purposes, from a wake
-//! that finds the queue still full). `poison` is modeled as the
-//! supervisor's terminal transition: close, drain, answer everything
-//! with an error, wake both sides.
+//! - `submit` enqueues, and under `Block` a submitter that finds the
+//!   queue full serves its oldest batch instead of parking;
+//! - `answer` returns the request's answer once it is there, serves a
+//!   batch while the queue has one, and parks on the request's own slot
+//!   only when the queue is empty (the request is then in flight on
+//!   another thread, which will answer it);
+//! - `serve` drains up to `max_batch` requests, counts the batch in
+//!   `in_flight` while it answers them outside the lock, and the last
+//!   in-flight batch of a closed queue wakes `shutdown`;
+//! - `shutdown` closes the queue, serves what is left, then waits until
+//!   `in_flight` is zero.
+//!
+//! These tests rebuild that protocol in miniature on `parallel::model`
+//! primitives and explore every interleaving within the preemption
+//! bound: every accepted request is answered exactly once, no schedule
+//! deadlocks, and `shutdown` returns only with an empty queue and no
+//! batch in flight. One test hands the checker a `shutdown` that stops
+//! waiting once the queue is empty and requires that the schedule where
+//! it returns under a batch still in flight is found.
+//!
+//! Deadlines are not modeled: an expired request is answered on the
+//! submitter's own thread at admission or inside a batch, both of which
+//! are plain answers here. `Timeout` is modeled by its number of serve
+//! turns, because `parallel::model` has no clock.
 
-use parallel::model::{self, AtomicUsize, Condvar, Config, Mutex};
+use parallel::model::{self, Condvar, Config, Mutex, MutexGuard};
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{self as std_sync, Arc};
 
 fn exhaustive() -> Config {
     Config {
@@ -32,22 +41,31 @@ fn exhaustive() -> Config {
     }
 }
 
-/// The queue of `engine::Shared`, reduced to its synchronization
-/// skeleton: requests are just ids, "answering" is a counter bump.
-struct Queue {
-    /// `(requests, closed)` — one mutex guards both, as in the engine.
-    state: Mutex<(VecDeque<usize>, bool)>,
-    not_full: Condvar,
-    not_empty: Condvar,
-    capacity: usize,
-    max_batch: usize,
-    accepted: AtomicUsize,
-    answered: AtomicUsize,
-    shed: AtomicUsize,
+/// What the queue lock guards, as in the engine's `QueueState`.
+struct State {
+    requests: VecDeque<usize>,
+    closed: bool,
+    in_flight: usize,
+}
+
+/// One request's response slot: how many times it was answered, under
+/// its own lock, and the condvar its submitter parks on.
+struct Slot {
+    answers: Mutex<usize>,
+    ready: Condvar,
+}
+
+/// The overload policies. `Timeout` carries the number of batches a
+/// submitter may serve before it sheds, standing in for a duration.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Policy {
+    Block,
+    Shed,
+    Timeout(usize),
 }
 
 /// What a submit attempt came back with, mirroring the engine's
-/// `Ok(slot)` / `Err(Overloaded)` / `Err(ShutDown | Poisoned)` split.
+/// `Ok(slot)` / `Err(Overloaded)` / `Err(ShutDown)` split.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Outcome {
     Accepted,
@@ -55,214 +73,194 @@ enum Outcome {
     Rejected,
 }
 
-impl Queue {
-    fn new(capacity: usize, max_batch: usize) -> Self {
+/// The engine's `Shared`, reduced to its synchronization skeleton:
+/// requests are slot indices, and answering one bumps its count.
+struct Engine {
+    state: Mutex<State>,
+    drained: Condvar,
+    slots: Vec<Slot>,
+    capacity: usize,
+    max_batch: usize,
+    policy: Policy,
+    /// Each request's submit outcome. Test bookkeeping outside the
+    /// modeled protocol: a plain `std` lock, which is no yield point and
+    /// never contends because one virtual thread runs at a time.
+    outcomes: std_sync::Mutex<Vec<Option<Outcome>>>,
+}
+
+impl Engine {
+    fn new(requests: usize, capacity: usize, max_batch: usize, policy: Policy) -> Self {
         Self {
-            state: Mutex::new((VecDeque::new(), false)),
-            not_full: Condvar::new(),
-            not_empty: Condvar::new(),
+            state: Mutex::new(State {
+                requests: VecDeque::new(),
+                closed: false,
+                in_flight: 0,
+            }),
+            drained: Condvar::new(),
+            slots: (0..requests)
+                .map(|_| Slot {
+                    answers: Mutex::new(0),
+                    ready: Condvar::new(),
+                })
+                .collect(),
             capacity,
             max_batch,
-            accepted: AtomicUsize::new(0),
-            answered: AtomicUsize::new(0),
-            shed: AtomicUsize::new(0),
+            policy,
+            outcomes: std_sync::Mutex::new(vec![None; requests]),
         }
     }
 
-    /// Mirrors `Shared::submit`: wait for space, enqueue, wake the
-    /// dispatcher. Returns whether the request was accepted.
-    fn submit(&self, id: usize) -> bool {
+    /// Mirrors `Shared::submit`: while the queue is full, refuse under
+    /// `Shed` (no serve and no wait transition exist on that path, so
+    /// termination across every schedule is the proof that `Shed` never
+    /// blocks), refuse under `Timeout` once its turns are spent, and
+    /// otherwise serve the oldest batch.
+    fn submit(&self, id: usize) -> Outcome {
+        let mut turns = 0;
         let mut state = self.state.lock();
         loop {
-            if state.1 {
-                return false;
+            if state.closed {
+                return Outcome::Rejected;
             }
-            if state.0.len() < self.capacity {
+            if state.requests.len() < self.capacity {
                 break;
             }
-            state = self.not_full.wait(state);
+            match self.policy {
+                Policy::Shed => return Outcome::Shed,
+                Policy::Timeout(patience) if turns == patience => return Outcome::Shed,
+                _ => turns += 1,
+            }
+            self.serve(state);
+            state = self.state.lock();
         }
-        state.0.push_back(id);
-        self.accepted.fetch_add(1);
-        self.not_empty.notify_one();
-        drop(state);
-        true
-    }
-
-    /// Mirrors `Shared::submit` under `OverloadPolicy::Shed`: a full
-    /// queue is answered immediately — **no wait transition exists on
-    /// this path**, so checker termination across every schedule is
-    /// itself the proof that `Shed` can never block.
-    fn submit_shed(&self, id: usize) -> Outcome {
-        let mut state = self.state.lock();
-        if state.1 {
-            return Outcome::Rejected;
-        }
-        if state.0.len() >= self.capacity {
-            self.shed.fetch_add(1);
-            return Outcome::Shed;
-        }
-        state.0.push_back(id);
-        self.accepted.fetch_add(1);
-        self.not_empty.notify_one();
+        state.requests.push_back(id);
         Outcome::Accepted
     }
 
-    /// Mirrors `Shared::submit` under `OverloadPolicy::Timeout`: wait
-    /// at most once for space, then shed. The single wake stands in for
-    /// "deadline fired or space appeared" — either way the submitter
-    /// re-checks `closed` **before** anything else, which is the
-    /// close-awareness this model exists to pin down.
-    fn submit_timeout(&self, id: usize) -> Outcome {
-        let mut state = self.state.lock();
-        let mut waited = false;
+    /// Mirrors `Shared::answer`: take the answer once it is there;
+    /// otherwise serve a batch, or park on the slot when the queue is
+    /// empty.
+    fn answer(&self, id: usize) {
+        let slot = &self.slots[id];
         loop {
-            if state.1 {
-                return Outcome::Rejected;
+            if *slot.answers.lock() > 0 {
+                return;
             }
-            if state.0.len() < self.capacity {
-                state.0.push_back(id);
-                self.accepted.fetch_add(1);
-                self.not_empty.notify_one();
-                return Outcome::Accepted;
-            }
-            if waited {
-                self.shed.fetch_add(1);
-                return Outcome::Shed;
-            }
-            waited = true;
-            state = self.not_full.wait(state);
-        }
-    }
-
-    /// Mirrors `Shared::poison`: the supervisor's terminal transition.
-    /// Close, drain whatever is queued, answer it all with an error
-    /// (the model counts an error answer as answered — the submitter is
-    /// unblocked either way), and wake both sides.
-    fn poison(&self) {
-        let mut state = self.state.lock();
-        state.1 = true;
-        let drained = state.0.len();
-        state.0.clear();
-        self.answered.fetch_add(drained);
-        self.not_empty.notify_all();
-        self.not_full.notify_all();
-    }
-
-    /// Mirrors `Shared::close`: mark closed, wake both sides.
-    fn close(&self) {
-        let mut state = self.state.lock();
-        state.1 = true;
-        self.not_empty.notify_all();
-        self.not_full.notify_all();
-    }
-
-    /// Mirrors `Shared::dispatch`: drain up to `max_batch`, wake
-    /// submitters, answer the batch outside the lock; on close keep
-    /// draining until empty, **checking emptiness before closed-ness**.
-    fn dispatch(&self) {
-        loop {
-            let batch: Vec<usize> = {
-                let mut state = self.state.lock();
-                loop {
-                    if !state.0.is_empty() {
-                        break;
-                    }
-                    if state.1 {
-                        return;
-                    }
-                    state = self.not_empty.wait(state);
+            let state = self.state.lock();
+            if state.requests.is_empty() {
+                drop(state);
+                let mut answers = slot.answers.lock();
+                while *answers == 0 {
+                    answers = slot.ready.wait(answers);
                 }
-                let take = state.0.len().min(self.max_batch);
-                let batch: Vec<usize> = state.0.drain(..take).collect();
-                self.not_full.notify_all();
-                batch
-            };
-            self.answered.fetch_add(batch.len());
+                return;
+            }
+            self.serve(state);
         }
     }
 
-    /// The classic drain bug: `closed` checked before emptiness, so a
-    /// request enqueued just before close is silently dropped.
-    fn dispatch_broken(&self) {
+    /// A submitter's whole call: submit, record the outcome, then
+    /// answer what was accepted.
+    fn request(&self, id: usize) -> Outcome {
+        let outcome = self.submit(id);
+        self.outcomes.lock().expect("outcome lock")[id] = Some(outcome);
+        if outcome == Outcome::Accepted {
+            self.answer(id);
+        }
+        outcome
+    }
+
+    /// The recorded outcomes, once every submitter is done.
+    fn outcomes(&self) -> Vec<Outcome> {
+        self.outcomes
+            .lock()
+            .expect("outcome lock")
+            .iter()
+            .map(|outcome| outcome.expect("every request was submitted"))
+            .collect()
+    }
+
+    /// Mirrors `Shared::serve`: drain a batch and count it in flight,
+    /// answer it outside the lock, then let the last in-flight batch of
+    /// a closed queue wake `shutdown` (after the release, like the
+    /// engine).
+    fn serve(&self, mut state: MutexGuard<'_, State>) {
+        let take = state.requests.len().min(self.max_batch);
+        let batch: Vec<usize> = state.requests.drain(..take).collect();
+        state.in_flight += 1;
+        drop(state);
+        for id in batch {
+            // Mirrors `Slot::fulfill`: store under the slot lock, then
+            // notify after the release.
+            let slot = &self.slots[id];
+            *slot.answers.lock() += 1;
+            slot.ready.notify_one();
+        }
+        let mut state = self.state.lock();
+        state.in_flight -= 1;
+        let drained = state.closed && state.in_flight == 0;
+        drop(state);
+        if drained {
+            self.drained.notify_all();
+        }
+    }
+
+    /// Mirrors `Engine::shutdown`. Returns the queue length and the
+    /// in-flight count it saw under the lock when it decided to return.
+    fn shutdown(&self) -> (usize, usize) {
+        let mut state = self.state.lock();
+        state.closed = true;
         loop {
-            let batch: Vec<usize> = {
-                let mut state = self.state.lock();
-                loop {
-                    // BROKEN on purpose: order of the two checks is
-                    // swapped relative to `dispatch`.
-                    if state.1 {
-                        return;
-                    }
-                    if !state.0.is_empty() {
-                        break;
-                    }
-                    state = self.not_empty.wait(state);
-                }
-                let take = state.0.len().min(self.max_batch);
-                let batch: Vec<usize> = state.0.drain(..take).collect();
-                self.not_full.notify_all();
-                batch
-            };
-            self.answered.fetch_add(batch.len());
+            if !state.requests.is_empty() {
+                self.serve(state);
+                state = self.state.lock();
+            } else if state.in_flight == 0 {
+                return (state.requests.len(), state.in_flight);
+            } else {
+                state = self.drained.wait(state);
+            }
         }
     }
-}
 
-/// Capacity 1 with two submissions forces the backpressure path: the
-/// second submit must block on `not_full` in some schedules and resume
-/// when the dispatcher drains. Every accepted request must be answered
-/// and both threads must terminate under every interleaving.
-#[test]
-fn queue_backpressure_never_strands_or_deadlocks() {
-    let report = model::check(exhaustive(), || {
-        let queue = Arc::new(Queue::new(1, 1));
-        let dispatcher_queue = Arc::clone(&queue);
-        let dispatcher = model::spawn(move || dispatcher_queue.dispatch());
-        assert!(queue.submit(0), "queue closed before close() was called");
-        assert!(queue.submit(1), "queue closed before close() was called");
-        queue.close();
-        dispatcher.join();
-        assert_eq!(
-            queue.answered.load(),
-            queue.accepted.load(),
-            "an accepted request was never answered"
-        );
-        assert_eq!(queue.accepted.load(), 2);
-    });
-    assert!(report.failure.is_none(), "{:?}", report.failure);
-    assert!(
-        report.complete,
-        "space not exhausted in {} runs",
-        report.schedules
-    );
-}
+    /// BROKEN on purpose: returns as soon as the queue is empty, without
+    /// waiting for batches in flight on other threads.
+    fn shutdown_broken(&self) -> (usize, usize) {
+        let mut state = self.state.lock();
+        state.closed = true;
+        while !state.requests.is_empty() {
+            self.serve(state);
+            state = self.state.lock();
+        }
+        (state.requests.len(), state.in_flight)
+    }
 
-/// A submit racing `close` must either be accepted (and then answered)
-/// or rejected — never accepted-and-dropped. The closing thread here
-/// runs concurrently with the submitter, unlike the test above where
-/// close follows the submissions in program order.
-#[test]
-fn close_racing_submit_never_strands_a_request() {
-    let report = model::check(exhaustive(), || {
-        let queue = Arc::new(Queue::new(1, 1));
-        let dispatcher_queue = Arc::clone(&queue);
-        let dispatcher = model::spawn(move || dispatcher_queue.dispatch());
-        let closer_queue = Arc::clone(&queue);
-        let closer = model::spawn(move || closer_queue.close());
-        let accepted = queue.submit(0);
-        closer.join();
-        dispatcher.join();
-        if accepted {
+    /// Asserts, after every thread is done, that each accepted request
+    /// was answered exactly once and no refused one was answered.
+    fn assert_answered_once(&self) {
+        for (id, outcome) in self.outcomes().iter().enumerate() {
+            let answers = *self.slots[id].answers.lock();
+            let expected = usize::from(*outcome == Outcome::Accepted);
             assert_eq!(
-                queue.answered.load(),
-                1,
-                "the accepted request was never answered"
+                answers, expected,
+                "request {id} ({outcome:?}) answered {answers} times"
             );
-        } else {
-            assert_eq!(queue.answered.load(), 0);
         }
-    });
+    }
+}
+
+/// Asserts what `shutdown` saw when it returned.
+fn assert_drained((queued, in_flight): (usize, usize)) {
+    assert_eq!(queued, 0, "shutdown returned with requests still queued");
+    assert_eq!(
+        in_flight, 0,
+        "shutdown returned with a batch still in flight"
+    );
+}
+
+/// Runs `body` under the checker and requires a clean, exhausted
+/// schedule space.
+fn assert_clean(body: impl Fn() + Send + Sync + 'static) {
+    let report = model::check(exhaustive(), body);
     assert!(report.failure.is_none(), "{:?}", report.failure);
     assert!(
         report.complete,
@@ -271,139 +269,114 @@ fn close_racing_submit_never_strands_a_request() {
     );
 }
 
-/// Checker validation for this protocol family: with the two drain
-/// checks swapped, some schedule accepts a request and then lets the
-/// dispatcher exit on `closed` without draining it. The checker must
-/// find that schedule.
+/// Capacity 1, batches of 1, two submitters and three requests: in
+/// some schedules a submitter finds the queue full and serves the other
+/// one's request, whose submitter then finds the queue empty and parks
+/// on its slot. Under `Block` every request is accepted. Under
+/// `Timeout` a submitter serves one batch, and sheds when the queue is
+/// full again by then; some schedule must shed, or the model would not
+/// reach that path. Every accepted request is answered exactly once and
+/// both threads finish.
 #[test]
-fn checker_finds_stranded_request_in_broken_dispatcher() {
-    let report = model::check(exhaustive(), || {
-        let queue = Arc::new(Queue::new(1, 1));
-        let dispatcher_queue = Arc::clone(&queue);
-        let dispatcher = model::spawn(move || dispatcher_queue.dispatch_broken());
-        assert!(queue.submit(0), "queue closed before close() was called");
-        queue.close();
-        dispatcher.join();
+fn full_queue_submitters_serve_and_answer_each_request_once() {
+    for policy in [Policy::Block, Policy::Timeout(1)] {
+        let shed_seen = Arc::new(AtomicBool::new(false));
+        let seen = Arc::clone(&shed_seen);
+        assert_clean(move || {
+            let engine = Arc::new(Engine::new(3, 1, 1, policy));
+            let other = Arc::clone(&engine);
+            let submitter = model::spawn(move || {
+                other.request(1);
+            });
+            engine.request(0);
+            engine.request(2);
+            submitter.join();
+            assert_drained(engine.shutdown());
+            let outcomes = engine.outcomes();
+            assert!(
+                !outcomes.contains(&Outcome::Rejected),
+                "queue closed too early"
+            );
+            if outcomes.contains(&Outcome::Shed) {
+                assert_ne!(policy, Policy::Block, "Block never sheds");
+                seen.store(true, Ordering::Relaxed);
+            }
+            engine.assert_answered_once();
+        });
         assert_eq!(
-            queue.answered.load(),
-            queue.accepted.load(),
-            "an accepted request was never answered"
+            shed_seen.load(Ordering::Relaxed),
+            policy != Policy::Block,
+            "{policy:?}: shed path reached"
         );
+    }
+}
+
+/// A submitter racing `shutdown`, with room for the whole batch: each
+/// request is either rejected or accepted, and an accepted one may be
+/// in flight on the submitter's thread when `shutdown` finds the queue
+/// empty. `shutdown` must then wait for it, and must return with an
+/// empty queue and nothing in flight.
+#[test]
+fn shutdown_racing_a_submitter_waits_for_its_batch() {
+    assert_clean(|| {
+        let engine = Arc::new(Engine::new(2, 2, 2, Policy::Block));
+        let other = Arc::clone(&engine);
+        let submitter = model::spawn(move || {
+            other.request(0);
+            other.request(1);
+        });
+        assert_drained(engine.shutdown());
+        submitter.join();
+        let outcomes = engine.outcomes();
+        assert!(!outcomes.contains(&Outcome::Shed), "Block never sheds");
+        assert!(
+            outcomes != [Outcome::Rejected, Outcome::Accepted],
+            "a submit after a refusal was accepted"
+        );
+        engine.assert_answered_once();
     });
-    let failure = report.failure.expect("the stranded request must be found");
-    assert!(
-        failure.message.contains("never answered"),
-        "unexpected failure: {failure:?}"
-    );
 }
 
 /// Under `Shed`, every submit returns immediately — accepted or shed —
-/// in every interleaving, each accepted request is answered, and the
-/// books balance: `accepted + shed` equals the attempts made.
+/// in every interleaving, and each accepted request is answered exactly
+/// once; with no close racing, every attempt is accepted or shed.
 #[test]
 fn shed_policy_never_blocks_and_reconciles() {
-    let report = model::check(exhaustive(), || {
-        let queue = Arc::new(Queue::new(1, 1));
-        let dispatcher_queue = Arc::clone(&queue);
-        let dispatcher = model::spawn(move || dispatcher_queue.dispatch());
-        let first = queue.submit_shed(0);
-        let second = queue.submit_shed(1);
-        queue.close();
-        dispatcher.join();
-        assert_ne!(first, Outcome::Rejected, "close had not happened yet");
-        assert_ne!(second, Outcome::Rejected, "close had not happened yet");
-        assert_eq!(
-            queue.answered.load(),
-            queue.accepted.load(),
-            "an accepted request was never answered"
-        );
-        assert_eq!(
-            queue.accepted.load() + queue.shed.load(),
-            2,
-            "an attempt was neither accepted nor shed"
-        );
-    });
-    assert!(report.failure.is_none(), "{:?}", report.failure);
-    assert!(
-        report.complete,
-        "space not exhausted in {} runs",
-        report.schedules
-    );
-}
-
-/// Under `Timeout`, a submitter woken on a full queue sheds instead of
-/// re-waiting, and a wake caused by `close` is observed as a rejection
-/// — never a re-wait (the close-after-wake deadlock) and never a
-/// stranded acceptance. The closer races the submits.
-#[test]
-fn timeout_policy_wakes_are_close_aware_and_never_strand() {
-    let report = model::check(exhaustive(), || {
-        let queue = Arc::new(Queue::new(1, 1));
-        let dispatcher_queue = Arc::clone(&queue);
-        let dispatcher = model::spawn(move || dispatcher_queue.dispatch());
-        let closer_queue = Arc::clone(&queue);
-        let closer = model::spawn(move || closer_queue.close());
-        let first = queue.submit_timeout(0);
-        let second = queue.submit_timeout(1);
-        closer.join();
-        dispatcher.join();
-        let attempts = [first, second];
-        let accepted_attempts = attempts.iter().filter(|o| **o == Outcome::Accepted).count();
-        assert_eq!(queue.accepted.load(), accepted_attempts);
-        assert_eq!(
-            queue.answered.load(),
-            queue.accepted.load(),
-            "an accepted request was never answered"
-        );
-        let shed_attempts = attempts.iter().filter(|o| **o == Outcome::Shed).count();
-        assert_eq!(queue.shed.load(), shed_attempts);
-    });
-    assert!(report.failure.is_none(), "{:?}", report.failure);
-    assert!(
-        report.complete,
-        "space not exhausted in {} runs",
-        report.schedules
-    );
-}
-
-/// Poison racing blocked submitters: with **no dispatcher at all**
-/// (the situation after the dispatcher's final crash), `poison` is the
-/// only thing left that can unblock a submitter waiting on
-/// backpressure. Every schedule must terminate, every accepted request
-/// must be answered by the poison drain, and post-poison submits must
-/// be rejected.
-#[test]
-fn poison_wakes_blocked_submitters_and_drains_the_queue() {
-    let report = model::check(exhaustive(), || {
-        let queue = Arc::new(Queue::new(1, 1));
-        let poisoner_queue = Arc::clone(&queue);
-        let poisoner = model::spawn(move || poisoner_queue.poison());
-        let second_accepted = Arc::new(AtomicUsize::new(0));
-        let submitter_queue = Arc::clone(&queue);
-        let submitter_accepted = Arc::clone(&second_accepted);
+    assert_clean(|| {
+        let engine = Arc::new(Engine::new(2, 1, 1, Policy::Shed));
+        let other = Arc::clone(&engine);
         let submitter = model::spawn(move || {
-            if submitter_queue.submit(1) {
-                submitter_accepted.fetch_add(1);
-            }
+            other.request(1);
         });
-        let first = queue.submit(0);
+        engine.request(0);
         submitter.join();
-        poisoner.join();
-        assert_eq!(
-            queue.accepted.load(),
-            usize::from(first) + second_accepted.load()
+        assert_drained(engine.shutdown());
+        assert!(
+            !engine.outcomes().contains(&Outcome::Rejected),
+            "close had not happened yet"
         );
-        assert_eq!(
-            queue.answered.load(),
-            queue.accepted.load(),
-            "an accepted request was never answered by the poison drain"
-        );
-        assert!(!queue.submit(2), "post-poison submits must be refused");
+        engine.assert_answered_once();
     });
-    assert!(report.failure.is_none(), "{:?}", report.failure);
+}
+
+/// Checker validation for this protocol: a `shutdown` that returns once
+/// the queue is empty, without waiting for `in_flight`, returns in some
+/// schedule while the submitter's batch is still being answered. The
+/// checker must find that schedule.
+#[test]
+fn checker_finds_shutdown_that_skips_in_flight_batches() {
+    let report = model::check(exhaustive(), || {
+        let engine = Arc::new(Engine::new(1, 1, 1, Policy::Block));
+        let other = Arc::clone(&engine);
+        let submitter = model::spawn(move || {
+            other.request(0);
+        });
+        assert_drained(engine.shutdown_broken());
+        submitter.join();
+    });
+    let failure = report.failure.expect("the early return must be found");
     assert!(
-        report.complete,
-        "space not exhausted in {} runs",
-        report.schedules
+        failure.message.contains("still in flight"),
+        "unexpected failure: {failure:?}"
     );
 }

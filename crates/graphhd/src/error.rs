@@ -48,7 +48,7 @@ pub enum Error {
     },
     /// A serving queue was configured with zero capacity.
     ZeroQueueCapacity,
-    /// A serving dispatcher was configured with a zero batch limit.
+    /// A serving engine was configured with a zero batch limit.
     ZeroBatch,
     /// A hypervector-substrate failure that has no dedicated variant.
     /// (`HdvError::ZeroDimension` maps to [`Error::ZeroDimension`]
@@ -83,10 +83,6 @@ pub enum Error {
     /// A serving request was refused at admission because the queue was
     /// full under a shed or bounded-wait overload policy.
     Overloaded,
-    /// The engine's dispatcher crashed more times than its restart
-    /// budget allows; the engine is permanently out of service and
-    /// every submit fails fast.
-    Poisoned,
     /// An internal invariant did not hold. Seeing this variant is a bug
     /// in this crate, not a caller mistake; it exists so invariant
     /// violations surface as request failures instead of process aborts.
@@ -168,9 +164,6 @@ impl core::fmt::Display for Error {
             Error::TaskFailed => write!(f, "request batch failed"),
             Error::DeadlineExceeded => write!(f, "request deadline exceeded before service"),
             Error::Overloaded => write!(f, "request shed: queue full under overload policy"),
-            Error::Poisoned => {
-                write!(f, "engine poisoned: dispatcher exceeded its restart budget")
-            }
             Error::Internal { what } => {
                 write!(f, "internal invariant violated (library bug): {what}")
             }

@@ -7,10 +7,12 @@
 //! the clone, and a reload publishes a replacement `Arc` the same way.
 //! Readers therefore always observe a fully-constructed old-or-new
 //! engine, in-flight requests finish on the engine they started on,
-//! and the retired engine drains and joins its dispatcher when the
-//! last in-flight holder drops (the engine's own drop-drain
-//! semantics). The interleaving safety of this load/swap protocol is
-//! model-checked against `parallel::model` in the crate's test suite.
+//! and the retired engine is freed when the last in-flight holder
+//! drops. It has nothing left to drain then: an engine owns no thread,
+//! and every request still queued on it has a submitter holding a
+//! handle until the request is answered. The interleaving safety of
+//! this load/swap protocol is model-checked against `parallel::model`
+//! in the crate's test suite.
 
 use crate::error::NetError;
 use crate::wire::{self, ModelInfo};
@@ -248,7 +250,7 @@ impl ModelRegistry {
     /// version if it is newer than the serving one. Returns
     /// `Some(version)` when a swap happened, `None` when already
     /// current. In-flight requests finish on the engine they started
-    /// on; the retired engine drains when its last holder drops.
+    /// on; the retired engine is freed when its last holder drops.
     ///
     /// # Errors
     ///

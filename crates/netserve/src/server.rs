@@ -498,7 +498,6 @@ fn engine_error_code(error: &graphhd::Error) -> ErrorCode {
         graphhd::Error::Overloaded => ErrorCode::Overloaded,
         graphhd::Error::DeadlineExceeded => ErrorCode::DeadlineExceeded,
         graphhd::Error::TaskFailed => ErrorCode::TaskFailed,
-        graphhd::Error::Poisoned => ErrorCode::Poisoned,
         _ => ErrorCode::Internal,
     }
 }

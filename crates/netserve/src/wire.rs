@@ -86,9 +86,10 @@ pub enum ErrorCode {
     Overloaded,
     /// The request's deadline passed before it was served.
     DeadlineExceeded,
-    /// The request's batch failed (a crashed dispatcher iteration).
+    /// The request's batch failed (it panicked while being served).
     TaskFailed,
-    /// The serving engine is terminally poisoned.
+    /// Reserved: once sent by engines that could be terminally poisoned.
+    /// Still decoded so older servers stay readable; never sent.
     Poisoned,
     /// The server refused the connection: the connection limit was
     /// reached. Sent once on accept, then the connection is closed.

@@ -30,8 +30,8 @@ fn exhaustive() -> Config {
 }
 
 /// A served version: its number, plus a shared retirement counter
-/// bumped on drop — the stand-in for an engine draining its
-/// dispatcher when the last in-flight holder releases it.
+/// bumped on drop — the stand-in for an engine being freed when the
+/// last in-flight holder releases it.
 struct Version {
     id: usize,
     retired: Arc<AtomicUsize>,

@@ -603,6 +603,12 @@ impl Condvar {
     pub fn wait<'a, T>(&self, mut guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
         let ctx = guard.ctx.clone();
         let mutex = guard.mutex;
+        // Entering the wait is a yield point: other threads may run
+        // between the caller's last check under the lock and its
+        // enrolment. A notifier that takes the lock still cannot slip in
+        // (it blocks on the held mutex); one that skips the lock can,
+        // and its wakeup is lost.
+        ctx.sched.yield_point(ctx.tid);
         // Dismantle the guard by hand so the release of the mutex and
         // the enrolment as a waiter are one atomic scheduler action (a
         // plain drop would open a window where a notify could slip in

@@ -356,8 +356,10 @@ impl Pool {
         // before that chunk's `done` increment. This function does not
         // return (or unwind) until `done == total`, i.e. until after the
         // last dereference, so the reference never outlives the borrow.
-        // Everything a worker touches afterwards (status mutex, condvar)
-        // lives in the `Arc<Region>` heap allocation it co-owns.
+        // Everything a worker touches afterwards lives in heap
+        // allocations it co-owns: the status mutex in the `Arc<Region>`,
+        // the pool lock and condvar of the last completion's notify in
+        // the `Arc<SharedState>`.
         let task: ErasedTask =
             unsafe { std::mem::transmute::<&(dyn Fn(Range<usize>) + Sync), ErasedTask>(task) };
         let region = Arc::new(Region {

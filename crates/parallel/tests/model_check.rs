@@ -3,9 +3,9 @@
 //!
 //! Each test models one protocol from `pool.rs` in miniature against
 //! `parallel::model` primitives and exhaustively explores every
-//! interleaving within the preemption bound. The first two tests
-//! validate the checker: they hand it deliberately broken programs and
-//! require that it finds the bug.
+//! interleaving within the preemption bound. The `checker_finds_*`
+//! tests validate the checker: they hand it deliberately broken
+//! programs and require that it finds the bug.
 
 use parallel::model::{self, AtomicUsize, Condvar, Config, Mutex};
 use std::sync::Arc;
@@ -73,6 +73,37 @@ fn checker_finds_lost_wakeup_deadlock() {
         drop(guard);
         ready.notify_one();
         consumer.join();
+    });
+    let failure = report.failure.expect("the lost wakeup must be found");
+    assert!(
+        failure.message.contains("deadlock"),
+        "unexpected failure: {failure:?}"
+    );
+}
+
+/// A notifier that sets the flag and signals without taking the lock.
+/// The waiter re-checks the flag under the lock and then waits; the
+/// store and the notify can both land between that check and the
+/// enrolment, so the wakeup is lost. The checker must find the
+/// deadlock, which needs entry to `Condvar::wait` to be a yield point.
+#[test]
+fn checker_finds_notify_that_skips_the_lock() {
+    let report = model::check(exhaustive(), || {
+        let shared = Arc::new((Mutex::new(()), Condvar::new(), AtomicUsize::new(0)));
+        let waiter_shared = Arc::clone(&shared);
+        let waiter = model::spawn(move || {
+            let (lock, ready, flag) = &*waiter_shared;
+            let mut guard = lock.lock();
+            while flag.load() == 0 {
+                guard = ready.wait(guard);
+            }
+        });
+        let (_, ready, flag) = &*shared;
+        // BROKEN on purpose: neither the store nor the notify holds the
+        // lock the waiter checks under.
+        flag.store(1);
+        ready.notify_all();
+        waiter.join();
     });
     let failure = report.failure.expect("the lost wakeup must be found");
     assert!(
@@ -198,11 +229,6 @@ fn one_lock_protocol_claims_each_chunk_once_and_never_loses_a_wakeup() {
             } else if shared.done.load() == CHUNKS {
                 break;
             } else {
-                // In real code the re-check and the wait are separate
-                // steps. This extra yield point lets the checker deliver
-                // the last completion between them: the window that the
-                // notifier's lock round-trip closes.
-                shared.done.load();
                 queue = shared.wake.wait(queue);
             }
         }
