@@ -1,16 +1,24 @@
 //! The GraphHD graph encoder (paper Section IV-B/IV-C, Figure 2).
 //!
-//! Every [`EncoderKind`] runs through one edge-bundling loop: rank the
-//! vertices, bind the hypervectors of each edge's two endpoints, and add
-//! the edge hypervector to a bit-sliced bundle. The kinds differ only in
-//! the inputs to that loop — the vertex hypervector, the orientation of
+//! Every [`EncoderKind`] runs through one edge-bundling recipe: rank the
+//! vertices, bind the hypervectors of each edge's two endpoints, and
+//! bundle the bound edges by majority. The kinds differ only in the
+//! inputs to that recipe — the vertex hypervector, the orientation of
 //! the bind, and the edge's vote weight — and
-//! [`LabeledGraphEncoder`](crate::labeled::LabeledGraphEncoder) reuses the
-//! same loop with label-bound vertex hypervectors.
+//! [`LabeledGraphEncoder`](crate::labeled::LabeledGraphEncoder) reuses
+//! it with label-bound vertex hypervectors.
+//!
+//! [`GraphEncoder::encode`] bundles with the fused
+//! [`hdvec::bundle_edges`] kernel: the vertex hypervectors go into a
+//! per-graph row table, and the kernel binds, counts and thresholds
+//! every edge 512 bits at a time without building per-dimension
+//! counters. [`GraphEncoder::encode_to_accumulator`] keeps the integer
+//! path — each bound edge added to an [`Accumulator`] — as the reference
+//! the fused path is tested bit-identical against.
 
 use crate::{CentralityKind, EncoderKind, Error, GraphHdConfig};
 use graphcore::{degree_centrality, pagerank_ranks, ranks_by_score, similarity, Graph};
-use hdvec::{Accumulator, BitSliceAccumulator, Hypervector, ItemMemory, LevelMemory};
+use hdvec::{Accumulator, Hypervector, ItemMemory, LevelMemory};
 use parallel::{Pool, PoolHandle};
 use prng::mix_seed;
 use std::borrow::Borrow;
@@ -133,9 +141,12 @@ impl GraphEncoder {
         }
     }
 
-    /// Encodes a graph into the edge-bundle accumulator (exposed so that
-    /// callers needing raw counts — e.g. soft-similarity ablations — avoid
-    /// re-encoding), with the recipe of the config's [`EncoderKind`]:
+    /// Encodes a graph into the edge-bundle accumulator: every bound edge
+    /// added to `i32` counters with [`Accumulator::add_weighted`]. This
+    /// is the integer reference that [`encode`]'s fused kernel is tested
+    /// against, and it serves callers needing raw counts (e.g.
+    /// soft-similarity ablations). The recipe is the config's
+    /// [`EncoderKind`]:
     ///
     /// - **centrality** — vertex hypervector `H_rank(rank)` from the
     ///   centrality ranking, one vote per edge;
@@ -155,19 +166,23 @@ impl GraphEncoder {
     /// [`encode`]: Self::encode
     #[must_use]
     pub fn encode_to_accumulator(&self, graph: &Graph) -> Accumulator {
+        self.with_recipe(graph, |recipe| self.accumulate_edges(graph, recipe))
+    }
+
+    /// Runs `bundle` on the edge recipe of the config's [`EncoderKind`]
+    /// (see [`encode_to_accumulator`](Self::encode_to_accumulator)).
+    fn with_recipe<R>(&self, graph: &Graph, bundle: impl FnOnce(EdgeRecipe<'_>) -> R) -> R {
         match self.config.encoder {
-            EncoderKind::Centrality => {
+            EncoderKind::Centrality | EncoderKind::EdgeWeighted { .. } => {
                 let ranks = self.vertex_ranks(graph);
-                self.bundle_edges(graph, |v| self.rank_hypervector(ranks[v]), None, None)
-            }
-            EncoderKind::EdgeWeighted { weight_cap } => {
-                let ranks = self.vertex_ranks(graph);
-                self.bundle_edges(
-                    graph,
-                    |v| self.rank_hypervector(ranks[v]),
-                    None,
-                    Some(weight_cap),
-                )
+                bundle(EdgeRecipe {
+                    vertex: &|v| self.rank_hypervector(ranks[v]),
+                    orient_by: None,
+                    weight_cap: match self.config.encoder {
+                        EncoderKind::EdgeWeighted { weight_cap } => Some(weight_cap),
+                        _ => None,
+                    },
+                })
             }
             EncoderKind::VertexSimilarity { .. } => {
                 let levels = self
@@ -176,12 +191,15 @@ impl GraphEncoder {
                     .expect("level memory built at construction for vertex similarity");
                 let scores = similarity::neighborhood_similarity(graph);
                 let ranks = ranks_by_score(&scores);
-                let vertex = |v: usize| {
-                    let mut hv = self.rank_hypervector(ranks[v]);
-                    hv.bind_assign(levels.hypervector(levels.quantize(scores[v])));
-                    hv
-                };
-                self.bundle_edges(graph, vertex, Some(&ranks), None)
+                bundle(EdgeRecipe {
+                    vertex: &|v| {
+                        let mut hv = self.rank_hypervector(ranks[v]);
+                        hv.bind_assign(levels.hypervector(levels.quantize(scores[v])));
+                        hv
+                    },
+                    orient_by: Some(&ranks),
+                    weight_cap: None,
+                })
             }
         }
     }
@@ -191,70 +209,75 @@ impl GraphEncoder {
         self.memory.hypervector(u64::from(rank))
     }
 
-    /// The one edge-bundling loop behind every encoder kind.
-    ///
-    /// `vertex` supplies each vertex's hypervector; it is called at most
-    /// once per vertex and role, and cached for the rest of the graph.
-    /// With `orient_by` ranks, each edge binds its lower-ranked endpoint
-    /// with a one-step permutation of the higher-ranked one (rank order,
-    /// unlike vertex id, is topology-derived, so the encoding stays
-    /// isomorphism-invariant); without, the bind is symmetric. With a
-    /// `weight_cap`, each edge adds `1 + min(common_neighbors,
-    /// weight_cap − 1)` votes instead of one.
-    ///
-    /// Bundling uses bit-sliced vertical counters (amortized ~2 word-ops
-    /// per edge per word) instead of d integer adds — the "binarized
-    /// bundling" optimization of Schmuck et al. that the paper cites; the
-    /// result is bit-identical to integer accumulation.
-    pub(crate) fn bundle_edges(
-        &self,
-        graph: &Graph,
-        vertex: impl Fn(usize) -> Hypervector,
-        orient_by: Option<&[u32]>,
-        weight_cap: Option<u32>,
-    ) -> Accumulator {
+    /// The integer reference bundle: each bound edge hypervector added
+    /// to an [`Accumulator`] with its votes as the weight. Vertex
+    /// hypervectors are built once per vertex and role.
+    fn accumulate_edges(&self, graph: &Graph, recipe: EdgeRecipe<'_>) -> Accumulator {
         let dim = self.config.dim;
         let n = graph.vertex_count();
-        let mut acc = BitSliceAccumulator::new(dim).expect("dimension validated at construction");
+        let mut acc = Accumulator::new(dim).expect("dimension validated at construction");
         let mut cache: Vec<Option<Hypervector>> = vec![None; n];
-        // The higher-ranked role of an oriented edge needs the permuted
-        // vertex hypervector; a vertex can play both roles.
-        let mut permuted: Vec<Option<Hypervector>> = match orient_by {
-            Some(_) => vec![None; n],
-            None => Vec::new(),
-        };
+        let mut permuted: Vec<Option<Hypervector>> = vec![None; n];
         let mut edge = Hypervector::positive(dim).expect("dimension validated at construction");
-        for (u, v) in graph.edges() {
-            let (a, b) = (u as usize, v as usize);
-            match orient_by {
-                None => {
-                    edge.clone_from(cache[a].get_or_insert_with(|| vertex(a)));
-                    edge.bind_assign(cache[b].get_or_insert_with(|| vertex(b)));
-                }
-                Some(ranks) => {
-                    // Ranks are a permutation, so the order is strict.
-                    let (lo, hi) = if ranks[a] < ranks[b] { (a, b) } else { (b, a) };
-                    edge.clone_from(cache[lo].get_or_insert_with(|| vertex(lo)));
-                    edge.bind_assign(permuted[hi].get_or_insert_with(|| vertex(hi).permute(1)));
-                }
-            }
-            let votes = weight_cap.map_or(1, |cap| {
-                1 + graph.common_neighbors(u, v).min(cap as usize - 1)
-            });
-            for _ in 0..votes {
-                acc.add(&edge);
-            }
+        for (a, b, votes) in recipe.edges(graph) {
+            edge.clone_from(cache[a].get_or_insert_with(|| (recipe.vertex)(a)));
+            let second = if recipe.orient_by.is_some() {
+                permuted[b].get_or_insert_with(|| (recipe.vertex)(b).permute(1))
+            } else {
+                cache[b].get_or_insert_with(|| (recipe.vertex)(b))
+            };
+            edge.bind_assign(second);
+            acc.add_weighted(&edge, votes as i32);
         }
-        acc.to_accumulator()
+        acc
+    }
+
+    /// The fused bundle behind [`encode`](Self::encode): gathers each
+    /// vertex hypervector once per role into a per-graph row table, then
+    /// [`hdvec::bundle_edges`] binds, counts and thresholds the edges 512
+    /// bits at a time without per-dimension counters. Bit-identical to
+    /// thresholding [`accumulate_edges`](Self::accumulate_edges). The
+    /// tables and the edge list live only for the call.
+    pub(crate) fn bundle_edges(&self, graph: &Graph, recipe: EdgeRecipe<'_>) -> Hypervector {
+        let n = graph.vertex_count();
+        let stride = self.config.dim.div_ceil(64);
+        let mut first = Rows::new(n, stride);
+        // The second endpoint of an oriented edge takes the permuted
+        // vertex hypervector, so it gets a table of its own; a symmetric
+        // bind reads both endpoints from one table.
+        let mut second = Rows::new(if recipe.orient_by.is_some() { n } else { 0 }, stride);
+        let mut edges = Vec::with_capacity(graph.edge_count());
+        for (a, b, votes) in recipe.edges(graph) {
+            let row_a = first.row(a, || (recipe.vertex)(a));
+            let row_b = if recipe.orient_by.is_some() {
+                second.row(b, || (recipe.vertex)(b).permute(1))
+            } else {
+                first.row(b, || (recipe.vertex)(b))
+            };
+            edges.push((row_a, row_b, votes as u32));
+        }
+        let hi = if recipe.orient_by.is_some() {
+            &second.words
+        } else {
+            &first.words
+        };
+        hdvec::bundle_edges(
+            self.config.dim,
+            &first.words,
+            hi,
+            &edges,
+            self.config.tie_break,
+        )
     }
 
     /// Encodes a graph into its bipolar graph hypervector — the `Enc_G`
-    /// of the paper.
+    /// of the paper — with the fused edge bundle. Equal to thresholding
+    /// [`encode_to_accumulator`](Self::encode_to_accumulator) with the
+    /// config's tie-break.
     #[must_use]
     pub fn encode(&self, graph: &Graph) -> Hypervector {
         crate::metrics::metrics().graphs_encoded.inc();
-        self.encode_to_accumulator(graph)
-            .to_hypervector(self.config.tie_break)
+        self.with_recipe(graph, |recipe| self.bundle_edges(graph, recipe))
     }
 
     /// Encodes many graphs, parallelised on the encoder's pool. Accepts
@@ -270,6 +293,71 @@ impl GraphEncoder {
     pub fn encode_all<G: Borrow<Graph> + Sync>(&self, graphs: &[G]) -> Vec<Hypervector> {
         self.pool()
             .par_map(graphs, |graph| self.encode(graph.borrow()))
+    }
+}
+
+/// What an encoder kind feeds the edge-bundling loop.
+///
+/// `vertex` supplies each vertex's hypervector. With `orient_by` ranks,
+/// each edge binds its lower-ranked endpoint with a one-step permutation
+/// of the higher-ranked one (rank order, unlike vertex id, is
+/// topology-derived, so the encoding stays isomorphism-invariant);
+/// without, the bind is symmetric. With a `weight_cap`, each edge votes
+/// `1 + min(common_neighbors, weight_cap − 1)` times instead of once.
+#[derive(Clone, Copy)]
+pub(crate) struct EdgeRecipe<'a> {
+    pub(crate) vertex: &'a dyn Fn(usize) -> Hypervector,
+    pub(crate) orient_by: Option<&'a [u32]>,
+    pub(crate) weight_cap: Option<u32>,
+}
+
+impl EdgeRecipe<'_> {
+    /// Each edge of `graph` as `(first, second, votes)`: `first` is bound
+    /// with `second` (permuted when oriented), `votes` times.
+    fn edges<'g>(&'g self, graph: &'g Graph) -> impl Iterator<Item = (usize, usize, usize)> + 'g {
+        graph.edges().map(move |(u, v)| {
+            let (a, b) = (u as usize, v as usize);
+            // Ranks are a permutation, so the order is strict.
+            let (a, b) = match self.orient_by {
+                Some(ranks) if ranks[b] < ranks[a] => (b, a),
+                _ => (a, b),
+            };
+            let votes = self.weight_cap.map_or(1, |cap| {
+                1 + graph.common_neighbors(u, v).min(cap as usize - 1)
+            });
+            (a, b, votes)
+        })
+    }
+}
+
+/// A fused bundle's row table: the packed words of each vertex
+/// hypervector it needs, in order of first use.
+struct Rows {
+    words: Vec<u64>,
+    /// Vertex → row, `None` until the vertex is first used.
+    index: Vec<Option<u32>>,
+    len: u32,
+}
+
+impl Rows {
+    /// An empty table for up to `vertices` rows of `stride` words. The
+    /// capacity is reserved once, so filling it never copies rows, and
+    /// only the rows written are touched.
+    fn new(vertices: usize, stride: usize) -> Self {
+        Self {
+            words: Vec::with_capacity(vertices * stride),
+            index: vec![None; vertices],
+            len: 0,
+        }
+    }
+
+    /// The row of vertex `v`, appending `make()` on its first use.
+    fn row(&mut self, v: usize, make: impl FnOnce() -> Hypervector) -> u32 {
+        *self.index[v].get_or_insert_with(|| {
+            self.words.extend_from_slice(make().words());
+            self.len += 1;
+            self.len - 1
+        })
     }
 }
 

@@ -12,6 +12,7 @@
 //! so two vertices must agree on both topology role *and* label to share
 //! an encoding.
 
+use crate::encoder::EdgeRecipe;
 use crate::{Error, GraphEncoder, GraphHdConfig};
 use graphcore::Graph;
 use hdvec::{Hypervector, ItemMemory};
@@ -103,10 +104,14 @@ impl LabeledGraphEncoder {
             hv.bind_assign(&self.label_memory.hypervector(u64::from(labels[v])));
             hv
         };
-        Ok(self
-            .inner
-            .bundle_edges(graph, vertex, None, None)
-            .to_hypervector(self.inner.config().tie_break))
+        Ok(self.inner.bundle_edges(
+            graph,
+            EdgeRecipe {
+                vertex: &vertex,
+                orient_by: None,
+                weight_cap: None,
+            },
+        ))
     }
 }
 

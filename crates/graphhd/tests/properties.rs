@@ -1,8 +1,8 @@
 //! Property-based tests for the GraphHD encoder and model.
 
 use graphcore::{generate, Graph, GraphBuilder};
-use graphhd::{GraphEncoder, GraphHdConfig};
-use hdvec::Accumulator;
+use graphhd::{EncoderKind, GraphEncoder, GraphHdConfig};
+use hdvec::{Accumulator, TieBreak};
 use prng::{WordRng, Xoshiro256PlusPlus};
 use proptest::prelude::*;
 
@@ -13,15 +13,40 @@ fn arb_graph() -> impl Strategy<Value = Graph> {
     })
 }
 
+const KINDS: [EncoderKind; 3] = [
+    EncoderKind::Centrality,
+    EncoderKind::VertexSimilarity { levels: 16 },
+    EncoderKind::EdgeWeighted { weight_cap: 4 },
+];
+
+const TIES: [TieBreak; 3] = [TieBreak::Positive, TieBreak::Negative, TieBreak::Seeded(7)];
+
+/// Word boundaries, the 512-bit chunk edges and the paper's dimension.
+const FUSED_DIMS: [usize; 8] = [1, 63, 64, 65, 511, 513, 1000, 10_000];
+
+/// An encoder of `kind`, or `None` where `dim` is too small for it (the
+/// vertex-similarity kind needs at least two levels, at most `dim / 2 +
+/// 1`).
+fn encoder_for(kind: EncoderKind, tie: TieBreak, dim: usize) -> Option<GraphEncoder> {
+    let config = GraphHdConfig::builder()
+        .dim(dim)
+        .with_encoder(kind)
+        .tie_break(tie)
+        .build()
+        .ok()?;
+    Some(GraphEncoder::new(config).expect("built configs are valid"))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
-    fn bitsliced_encoding_equals_naive_accumulation(g in arb_graph()) {
-        // The production encoder bundles edges with bit-sliced counters;
-        // re-derive the same accumulator naively and compare exactly.
+    fn encodings_equal_naive_accumulation(g in arb_graph()) {
+        // Re-derive the edge bundle naively from public primitives and
+        // compare both the reference accumulator and the fused encoding
+        // exactly.
         let encoder = GraphEncoder::new(GraphHdConfig::builder().dim(512).build().expect("valid dimension")).expect("valid");
-        let fast = encoder.encode_to_accumulator(&g);
+        let reference = encoder.encode_to_accumulator(&g);
 
         let ranks = encoder.vertex_ranks(&g);
         let mut naive = Accumulator::new(512).expect("valid dimension");
@@ -30,7 +55,24 @@ proptest! {
             let hv = encoder.memory().hypervector(u64::from(ranks[v as usize]));
             naive.add(&hu.bind(&hv));
         }
-        prop_assert_eq!(fast, naive);
+        prop_assert_eq!(encoder.encode(&g), naive.to_hypervector(encoder.config().tie_break));
+        prop_assert_eq!(reference, naive);
+    }
+
+    #[test]
+    fn fused_encoding_equals_thresholded_reference_for_every_kind(
+        g in arb_graph(),
+        kind_idx in 0usize..3,
+        tie_idx in 0usize..3,
+        dim_idx in 0usize..FUSED_DIMS.len(),
+    ) {
+        let encoder = encoder_for(KINDS[kind_idx], TIES[tie_idx], FUSED_DIMS[dim_idx]);
+        prop_assume!(encoder.is_some());
+        let encoder = encoder.expect("assumed above");
+        prop_assert_eq!(
+            encoder.encode(&g),
+            encoder.encode_to_accumulator(&g).to_hypervector(TIES[tie_idx])
+        );
     }
 
     #[test]
@@ -77,5 +119,37 @@ proptest! {
         let parallel = encoder.encode_all(&graphs);
         let serial: Vec<_> = graphs.iter().map(|g| encoder.encode(g)).collect();
         prop_assert_eq!(parallel, serial);
+    }
+}
+
+/// `encode` (the fused kernel) equals thresholding the integer reference
+/// for every kind, tie policy and dimension, on the graphs whose vote
+/// totals are degenerate: no edges (the tie pattern), one edge (odd),
+/// two edges (even, with ties) and a denser random graph.
+#[test]
+fn fused_encoding_equals_thresholded_reference_on_degenerate_graphs() {
+    let mut rng = Xoshiro256PlusPlus::seed_from_u64(2026);
+    let graphs = [
+        Graph::empty(4),
+        generate::path(2),
+        generate::path(3),
+        generate::erdos_renyi(18, 0.3, &mut rng).expect("valid parameters"),
+    ];
+    for kind in KINDS {
+        for tie in TIES {
+            for dim in FUSED_DIMS {
+                let Some(encoder) = encoder_for(kind, tie, dim) else {
+                    continue;
+                };
+                for g in &graphs {
+                    assert_eq!(
+                        encoder.encode(g),
+                        encoder.encode_to_accumulator(g).to_hypervector(tie),
+                        "{kind:?}, {tie:?}, dim {dim}, {} edges",
+                        g.edge_count()
+                    );
+                }
+            }
+        }
     }
 }

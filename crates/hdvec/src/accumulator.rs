@@ -96,9 +96,7 @@ impl Accumulator {
         &self.counts
     }
 
-    /// Builds an accumulator from raw signed counters and a vote count —
-    /// the conversion target of
-    /// [`BitSliceAccumulator`](crate::BitSliceAccumulator).
+    /// Builds an accumulator from raw signed counters and a vote count.
     ///
     /// # Errors
     ///
@@ -161,21 +159,27 @@ impl Accumulator {
     #[must_use]
     pub fn to_hypervector(&self, tie_break: TieBreak) -> Hypervector {
         let dim = self.dim();
-        let pattern = match tie_break {
-            TieBreak::Positive | TieBreak::Negative => None,
-            TieBreak::Seeded(seed) => Some(Hypervector::tie_pattern(dim, seed)),
-        };
-        let tie = match (&pattern, tie_break) {
-            (Some(p), _) => TieWords::Pattern(p.words()),
-            (None, TieBreak::Negative) => TieWords::Constant(!0u64),
-            (None, _) => TieWords::Constant(0u64),
-        };
         // Assemble 64 thresholded dimensions per word on the dispatched
         // backend; ties take the matching bit of the tie source. The last
         // chunk is `dim % 64` counters long, so tail bits beyond `dim`
         // are never set and the storage invariant holds by shape.
-        let words = Backend::active().threshold(&self.counts, tie);
+        let words = tie_break.with_words(dim, |tie| Backend::active().threshold(&self.counts, tie));
         Hypervector::from_raw(dim, words)
+    }
+}
+
+impl TieBreak {
+    /// Runs `kernel` with this policy's tie source for `dim` dimensions:
+    /// a constant word for `Positive`/`Negative`, the seeded pattern for
+    /// `Seeded`.
+    pub(crate) fn with_words<R>(self, dim: usize, kernel: impl FnOnce(TieWords<'_>) -> R) -> R {
+        match self {
+            TieBreak::Positive => kernel(TieWords::Constant(0)),
+            TieBreak::Negative => kernel(TieWords::Constant(!0)),
+            TieBreak::Seeded(seed) => kernel(TieWords::Pattern(
+                Hypervector::tie_pattern(dim, seed).words(),
+            )),
+        }
     }
 }
 

@@ -2,22 +2,28 @@
 //!
 //! Every similarity, bundling and packing operation in this crate reduces
 //! to a handful of bulk kernels over `u64` words (XOR+popcount, signed
-//! counter updates, thresholding, sign packing). This module provides
-//! three implementations:
+//! counter updates, thresholding, sign packing, and the fused edge
+//! bundle that binds, counts and thresholds in one pass). This module
+//! provides three implementations:
 //!
 //! - **Scalar** — portable Rust, the *source of truth*. The popcount
 //!   kernels use an unrolled Harley–Seal carry-save-adder tree (16 words
 //!   per round), which cuts the number of `count_ones` invocations ~4×;
 //!   that matters on targets where `count_ones` lowers to the SWAR
-//!   bit-twiddling sequence rather than a `popcnt` instruction.
+//!   bit-twiddling sequence rather than a `popcnt` instruction. The
+//!   fused edge bundle ([`Backend::bundle_edges`]) runs the same tree
+//!   over `[u64; 8]` chunks of bound edges.
 //! - **Avx2** — `std::arch` intrinsics (AVX2 + POPCNT, via the positional
 //!   nibble-lookup popcount of Muła et al.), selected at runtime with
-//!   `is_x86_feature_detected!`.
+//!   `is_x86_feature_detected!`. The fused edge bundle holds each
+//!   512-bit chunk in two registers.
 //! - **Avx512** — selected when AVX-512F and AVX512-VPOPCNTDQ are
-//!   detected on top of AVX2 + POPCNT. Its class-scan kernel
-//!   ([`Backend::hamming_tile`]) is a native `vpopcntq` over one whole
-//!   8-lane block per 512-bit register; every other kernel runs the AVX2
-//!   code.
+//!   detected on top of AVX2 + POPCNT. Two kernels are native: the class
+//!   scan ([`Backend::hamming_tile`]), a `vpopcntq` over one whole
+//!   8-lane block per 512-bit register, and the fused edge bundle
+//!   ([`Backend::bundle_edges`]), one register per chunk with each
+//!   carry-save adder two `vpternlogq` ops and a masked load for the
+//!   partial last chunk. Every other kernel runs the AVX2 code.
 //!
 //! Dispatch happens once per process: [`Backend::active`] caches the
 //! detected backend, and setting the environment variable
@@ -69,6 +75,31 @@ impl TieWords<'_> {
             TieWords::Constant(w) => *w,
             TieWords::Pattern(p) => p[chunk],
         }
+    }
+}
+
+/// Words per chunk of [`Backend::bundle_edges`]: 512 bits, one AVX-512
+/// register or two AVX2 registers.
+const CHUNK_WORDS: usize = 8;
+
+/// Most count bit planes a fused bundle needs: vote totals fit `u32`.
+const MAX_PLANES: usize = 32;
+
+/// How a fused bundle's per-dimension vote counts are held and judged:
+/// the number of bit planes (at least the four Harley–Seal registers,
+/// enough for the vote total) and half the vote total, the majority
+/// threshold the planes are compared against.
+#[derive(Debug, Clone, Copy)]
+struct Planes {
+    count: usize,
+    half: u32,
+}
+
+impl Planes {
+    /// Whether bit `k` of the half-total is set.
+    #[inline]
+    fn half_bit(self, k: usize) -> bool {
+        (self.half >> k) & 1 == 1
     }
 }
 
@@ -257,6 +288,108 @@ impl Backend {
         }
     }
 
+    /// The fused edge-bundle kernel: the packed majority of the bound
+    /// pairs `lo[a] ⊗ hi[b]`, each edge `(a, b, votes)` counted `votes`
+    /// times, without materialising per-dimension counters.
+    ///
+    /// `lo` and `hi` are row tables of `dim.div_ceil(64)` words per row
+    /// (row `r` is words `r * stride..(r + 1) * stride`); they may be the
+    /// same table. Output bit `i` is 1 (component −1) when more than half
+    /// of the votes have bit `i` set, 0 when fewer, and takes the
+    /// matching bit of `tie` on an exact half — every bit, when the edges
+    /// carry no votes. Bits beyond `dim` are clear. The result is
+    /// bit-identical to adding each bound pair to an
+    /// [`Accumulator`](crate::Accumulator) with weight `votes` and
+    /// thresholding it.
+    ///
+    /// The output is built one 512-bit chunk at a time: every vote's
+    /// bound chunk streams through a Harley–Seal carry-save tree (16
+    /// votes per round) into per-dimension count bit planes, which are
+    /// then compared against half the vote total, most significant plane
+    /// first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dim == 0`, a table is not a whole number of rows, an
+    /// edge names a row outside its table, a [`TieWords::Pattern`] holds
+    /// fewer than `dim.div_ceil(64)` words, or the votes total more than
+    /// `u32::MAX`.
+    #[must_use]
+    pub fn bundle_edges(
+        self,
+        dim: usize,
+        lo: &[u64],
+        hi: &[u64],
+        edges: &[(u32, u32, u32)],
+        tie: TieWords<'_>,
+    ) -> Vec<u64> {
+        assert!(dim > 0, "a fused bundle needs a non-zero dimension");
+        let stride = dim.div_ceil(64);
+        assert!(
+            lo.len().is_multiple_of(stride) && hi.len().is_multiple_of(stride),
+            "row tables must hold whole rows of dim.div_ceil(64) words"
+        );
+        if let TieWords::Pattern(pattern) = tie {
+            assert!(
+                pattern.len() >= stride,
+                "tie pattern needs one word per 64 dimensions"
+            );
+        }
+        // The chunk kernels load rows at these word offsets without bounds
+        // checks, so every endpoint is validated here, once.
+        let (lo_rows, hi_rows) = (lo.len() / stride, hi.len() / stride);
+        let mut pairs = Vec::with_capacity(edges.len());
+        for &(a, b, votes) in edges {
+            let (a, b) = (a as usize, b as usize);
+            assert!(
+                a < lo_rows && b < hi_rows,
+                "edge ({a}, {b}) names a row outside its table"
+            );
+            pairs.extend(std::iter::repeat_n(
+                [a * stride, b * stride],
+                votes as usize,
+            ));
+        }
+        assert!(
+            pairs.len() <= u32::MAX as usize,
+            "a fused bundle counts at most u32::MAX votes"
+        );
+        let added = pairs.len() as u32;
+        let shape = Planes {
+            count: ((u32::BITS - added.leading_zeros()) as usize).max(4),
+            half: added / 2,
+        };
+        let mut out = vec![0u64; stride];
+        for (chunk, words) in out.chunks_mut(CHUNK_WORDS).enumerate() {
+            let w0 = chunk * CHUNK_WORDS;
+            let (gt, eq) = match self.0 {
+                Kind::Scalar => scalar::bundle_chunk(lo, hi, &pairs, w0, words.len(), shape),
+                #[cfg(target_arch = "x86_64")]
+                // SAFETY: `Kind::Avx2` implies runtime-verified AVX2; every
+                // offset in `pairs` starts a whole row of its table (checked
+                // above) and `w0 + words.len() <= stride`.
+                Kind::Avx2 => unsafe { avx2::bundle_chunk(lo, hi, &pairs, w0, words.len(), shape) },
+                #[cfg(target_arch = "x86_64")]
+                // SAFETY: `Kind::Avx512` implies runtime-verified AVX-512F;
+                // the row offsets are in bounds as for AVX2 above.
+                Kind::Avx512 => unsafe {
+                    avx512::bundle_chunk(lo, hi, &pairs, w0, words.len(), shape)
+                },
+            };
+            for (i, word) in words.iter_mut().enumerate() {
+                *word = if added.is_multiple_of(2) {
+                    gt[i] | (eq[i] & tie.word(w0 + i))
+                } else {
+                    gt[i]
+                };
+            }
+        }
+        if !dim.is_multiple_of(64) {
+            out[stride - 1] &= (1u64 << (dim % 64)) - 1;
+        }
+        out
+    }
+
     /// Packs ±1 components into sign words (bit = 1 ⇔ −1). On the first
     /// value that is neither +1 nor −1, returns `Err((index, value))`.
     ///
@@ -336,10 +469,37 @@ macro_rules! by_tile_size {
     };
 }
 
+/// One Harley–Seal round: folds the 16 inputs `$input!(0)` ..
+/// `$input!(15)` into the carry-save planes `$ones`, `$twos`, `$fours`
+/// and `$eights` with the three-input adder `$csa` (returning `(sum,
+/// carry)`), and evaluates to the round's `sixteens` carry. Shared by
+/// the popcount kernels and the fused edge-bundle kernels.
+macro_rules! csa_round {
+    ($csa:ident, $input:ident, $ones:ident, $twos:ident, $fours:ident, $eights:ident) => {{
+        let (mut twos_a, mut twos_b, mut fours_a, mut fours_b, eights_a, eights_b, sixteens);
+        ($ones, twos_a) = $csa($ones, $input!(0), $input!(1));
+        ($ones, twos_b) = $csa($ones, $input!(2), $input!(3));
+        ($twos, fours_a) = $csa($twos, twos_a, twos_b);
+        ($ones, twos_a) = $csa($ones, $input!(4), $input!(5));
+        ($ones, twos_b) = $csa($ones, $input!(6), $input!(7));
+        ($twos, fours_b) = $csa($twos, twos_a, twos_b);
+        ($fours, eights_a) = $csa($fours, fours_a, fours_b);
+        ($ones, twos_a) = $csa($ones, $input!(8), $input!(9));
+        ($ones, twos_b) = $csa($ones, $input!(10), $input!(11));
+        ($twos, fours_a) = $csa($twos, twos_a, twos_b);
+        ($ones, twos_a) = $csa($ones, $input!(12), $input!(13));
+        ($ones, twos_b) = $csa($ones, $input!(14), $input!(15));
+        ($twos, fours_b) = $csa($twos, twos_a, twos_b);
+        ($fours, eights_b) = $csa($fours, fours_a, fours_b);
+        ($eights, sixteens) = $csa($eights, eights_a, eights_b);
+        sixteens
+    }};
+}
+
 /// Portable reference kernels. Exact by construction; every other backend
 /// is tested bit-identical against these.
 mod scalar {
-    use super::{TieWords, BLOCK_LANES};
+    use super::{Planes, TieWords, BLOCK_LANES, CHUNK_WORDS, MAX_PLANES};
 
     /// Carry-save adder: compresses three equal-weight words into a sum
     /// word (same weight) and a carry word (double weight).
@@ -359,28 +519,12 @@ mod scalar {
         let rounds = len / 16;
         for r in 0..rounds {
             let base = r * 16;
-            let mut twos_a;
-            let mut twos_b;
-            let mut fours_a;
-            let mut fours_b;
-            let eights_a;
-            let eights_b;
-            (ones, twos_a) = csa(ones, word(base), word(base + 1));
-            (ones, twos_b) = csa(ones, word(base + 2), word(base + 3));
-            (twos, fours_a) = csa(twos, twos_a, twos_b);
-            (ones, twos_a) = csa(ones, word(base + 4), word(base + 5));
-            (ones, twos_b) = csa(ones, word(base + 6), word(base + 7));
-            (twos, fours_b) = csa(twos, twos_a, twos_b);
-            (fours, eights_a) = csa(fours, fours_a, fours_b);
-            (ones, twos_a) = csa(ones, word(base + 8), word(base + 9));
-            (ones, twos_b) = csa(ones, word(base + 10), word(base + 11));
-            (twos, fours_a) = csa(twos, twos_a, twos_b);
-            (ones, twos_a) = csa(ones, word(base + 12), word(base + 13));
-            (ones, twos_b) = csa(ones, word(base + 14), word(base + 15));
-            (twos, fours_b) = csa(twos, twos_a, twos_b);
-            (fours, eights_b) = csa(fours, fours_a, fours_b);
-            let sixteens;
-            (eights, sixteens) = csa(eights, eights_a, eights_b);
+            macro_rules! input {
+                ($i:expr) => {
+                    word(base + $i)
+                };
+            }
+            let sixteens = csa_round!(csa, input, ones, twos, fours, eights);
             total += 16 * u64::from(sixteens.count_ones());
         }
         total += 8 * u64::from(eights.count_ones());
@@ -491,6 +635,87 @@ mod scalar {
             }
         }
     }
+
+    type Chunk = [u64; CHUNK_WORDS];
+
+    /// [`csa`] on every word of a chunk.
+    #[inline(always)]
+    fn csa_chunk(a: Chunk, b: Chunk, c: Chunk) -> (Chunk, Chunk) {
+        let (mut sum, mut carry) = ([0; CHUNK_WORDS], [0; CHUNK_WORDS]);
+        for i in 0..CHUNK_WORDS {
+            (sum[i], carry[i]) = csa(a[i], b[i], c[i]);
+        }
+        (sum, carry)
+    }
+
+    /// Adds `carry` into the bit planes, lowest first (a ripple-carry
+    /// increment per dimension).
+    #[inline(always)]
+    fn ripple<'a>(planes: impl IntoIterator<Item = &'a mut Chunk>, mut carry: Chunk) {
+        for plane in planes {
+            for (p, c) in plane.iter_mut().zip(&mut carry) {
+                (*p, *c) = (*p ^ *c, *p & *c);
+            }
+        }
+    }
+
+    /// One chunk of [`Backend::bundle_edges`](super::Backend::bundle_edges):
+    /// counts the `n` words at `w0` of every bound pair (`pairs` holds
+    /// the row offsets of each vote) into bit planes and returns
+    /// `(count > half, count == half)` per dimension. Words past `n` are
+    /// unspecified.
+    pub fn bundle_chunk(
+        lo: &[u64],
+        hi: &[u64],
+        pairs: &[[usize; 2]],
+        w0: usize,
+        n: usize,
+        shape: Planes,
+    ) -> (Chunk, Chunk) {
+        let bound = |[a, b]: [usize; 2]| {
+            let (x, y) = (&lo[a + w0..a + w0 + n], &hi[b + w0..b + w0 + n]);
+            let mut bound = [0; CHUNK_WORDS];
+            for ((word, x), y) in bound.iter_mut().zip(x).zip(y) {
+                *word = x ^ y;
+            }
+            bound
+        };
+        let zero = [0; CHUNK_WORDS];
+        let (mut ones, mut twos, mut fours, mut eights) = (zero, zero, zero, zero);
+        let mut upper = [zero; MAX_PLANES - 4];
+        let upper = &mut upper[..shape.count - 4];
+        let mut rounds = pairs.chunks_exact(16);
+        for g in &mut rounds {
+            macro_rules! input {
+                ($i:expr) => {
+                    bound(g[$i])
+                };
+            }
+            let sixteens = csa_round!(csa_chunk, input, ones, twos, fours, eights);
+            ripple(upper.iter_mut(), sixteens);
+        }
+        for &pair in rounds.remainder() {
+            let low = [&mut ones, &mut twos, &mut fours, &mut eights];
+            ripple(low.into_iter().chain(upper.iter_mut()), bound(pair));
+        }
+        // Compare the count with the half-total, most significant plane
+        // first: `gt` marks dimensions already above it, `eq` those equal
+        // so far.
+        let (mut gt, mut eq) = (zero, [!0; CHUNK_WORDS]);
+        let low = [ones, twos, fours, eights];
+        for k in (0..shape.count).rev() {
+            let plane = if k < 4 { low[k] } else { upper[k - 4] };
+            for i in 0..CHUNK_WORDS {
+                if shape.half_bit(k) {
+                    eq[i] &= plane[i];
+                } else {
+                    gt[i] |= eq[i] & plane[i];
+                    eq[i] &= !plane[i];
+                }
+            }
+        }
+        (gt, eq)
+    }
 }
 
 /// AVX2 + POPCNT kernels. Every function in this module is
@@ -498,14 +723,16 @@ mod scalar {
 /// runtime (enforced by the private `Kind::Avx2` constructor).
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::{TieWords, BLOCK_LANES};
+    use super::{Planes, TieWords, BLOCK_LANES, CHUNK_WORDS, MAX_PLANES};
     use core::arch::x86_64::{
         __m256i, _mm256_add_epi32, _mm256_add_epi64, _mm256_add_epi8, _mm256_and_si256,
-        _mm256_castsi256_ps, _mm256_cmpeq_epi32, _mm256_cmpeq_epi8, _mm256_cmpgt_epi32,
-        _mm256_extract_epi64, _mm256_loadu_si256, _mm256_movemask_epi8, _mm256_movemask_ps,
-        _mm256_or_si256, _mm256_sad_epu8, _mm256_set1_epi32, _mm256_set1_epi64x, _mm256_set1_epi8,
-        _mm256_setr_epi32, _mm256_setr_epi8, _mm256_setzero_si256, _mm256_shuffle_epi8,
-        _mm256_srli_epi16, _mm256_storeu_si256, _mm256_sub_epi32, _mm256_xor_si256,
+        _mm256_andnot_si256, _mm256_castsi256_ps, _mm256_cmpeq_epi32, _mm256_cmpeq_epi8,
+        _mm256_cmpgt_epi32, _mm256_cmpgt_epi64, _mm256_extract_epi64, _mm256_loadu_si256,
+        _mm256_maskload_epi64, _mm256_movemask_epi8, _mm256_movemask_ps, _mm256_or_si256,
+        _mm256_sad_epu8, _mm256_set1_epi32, _mm256_set1_epi64x, _mm256_set1_epi8,
+        _mm256_setr_epi32, _mm256_setr_epi64x, _mm256_setr_epi8, _mm256_setzero_si256,
+        _mm256_shuffle_epi8, _mm256_srli_epi16, _mm256_storeu_si256, _mm256_sub_epi32,
+        _mm256_xor_si256,
     };
 
     /// Per-64-bit-lane popcount of a 256-bit vector (Muła's positional
@@ -788,18 +1015,207 @@ mod avx2 {
             }
         }
     }
+    type Chunk = [u64; CHUNK_WORDS];
+
+    /// One 512-bit chunk as two 256-bit halves.
+    type Pair = [__m256i; 2];
+
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn xor2(a: Pair, b: Pair) -> Pair {
+        [_mm256_xor_si256(a[0], b[0]), _mm256_xor_si256(a[1], b[1])]
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn and2(a: Pair, b: Pair) -> Pair {
+        [_mm256_and_si256(a[0], b[0]), _mm256_and_si256(a[1], b[1])]
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn or2(a: Pair, b: Pair) -> Pair {
+        [_mm256_or_si256(a[0], b[0]), _mm256_or_si256(a[1], b[1])]
+    }
+
+    /// Carry-save adder on both halves of a chunk.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn csa2(a: Pair, b: Pair, c: Pair) -> (Pair, Pair) {
+        let partial = xor2(a, b);
+        (xor2(partial, c), or2(and2(a, b), and2(partial, c)))
+    }
+
+    /// Adds `carry` into the bit planes, lowest first.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn ripple2<'a>(planes: impl IntoIterator<Item = &'a mut Pair>, mut carry: Pair) {
+        for plane in planes {
+            (*plane, carry) = (xor2(*plane, carry), and2(*plane, carry));
+        }
+    }
+
+    /// The bound chunk `lo[a + w0..] ^ hi[b + w0..]`: two plain loads per
+    /// table when `FULL`, else masked loads of the lanes `mask` enables
+    /// (the others read as zero).
+    ///
+    /// # Safety
+    ///
+    /// AVX2 must be available, `a + w0 < lo.len()`, `b + w0 < hi.len()`,
+    /// and the chunk's words — all 8 when `FULL`, else the lanes `mask`
+    /// enables — must lie inside their tables.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn bound<const FULL: bool>(
+        lo: &[u64],
+        hi: &[u64],
+        [a, b]: [usize; 2],
+        w0: usize,
+        mask: Pair,
+    ) -> Pair {
+        let (x, y) = (
+            lo.as_ptr().wrapping_add(a + w0),
+            hi.as_ptr().wrapping_add(b + w0),
+        );
+        // SAFETY: both start pointers are inside their tables; a full
+        // chunk reads 8 in-bounds words, a partial one only the lanes
+        // `mask` enables (disabled lanes are never accessed, so the
+        // second half's start may lie past the end).
+        unsafe {
+            if FULL {
+                xor2(
+                    [
+                        _mm256_loadu_si256(x.cast()),
+                        _mm256_loadu_si256(x.add(4).cast()),
+                    ],
+                    [
+                        _mm256_loadu_si256(y.cast()),
+                        _mm256_loadu_si256(y.add(4).cast()),
+                    ],
+                )
+            } else {
+                xor2(
+                    [
+                        _mm256_maskload_epi64(x.cast(), mask[0]),
+                        _mm256_maskload_epi64(x.wrapping_add(4).cast(), mask[1]),
+                    ],
+                    [
+                        _mm256_maskload_epi64(y.cast(), mask[0]),
+                        _mm256_maskload_epi64(y.wrapping_add(4).cast(), mask[1]),
+                    ],
+                )
+            }
+        }
+    }
+
+    /// The AVX2 form of the scalar `bundle_chunk`: two registers per
+    /// plane, and masked loads for the partial last chunk.
+    ///
+    /// # Safety
+    ///
+    /// The caller must have verified at runtime that the CPU supports
+    /// AVX2; every offset in `pairs` must start a whole row of its table,
+    /// `w0 + n` must not exceed the row length, and `1 <= n <= 8`.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn bundle_chunk(
+        lo: &[u64],
+        hi: &[u64],
+        pairs: &[[usize; 2]],
+        w0: usize,
+        n: usize,
+        shape: Planes,
+    ) -> (Chunk, Chunk) {
+        // SAFETY: the caller's contract is `chunk`'s.
+        unsafe {
+            if n == CHUNK_WORDS {
+                chunk::<true>(lo, hi, pairs, w0, n, shape)
+            } else {
+                chunk::<false>(lo, hi, pairs, w0, n, shape)
+            }
+        }
+    }
+
+    /// [`bundle_chunk`] for a whole (`FULL`) or partial chunk.
+    ///
+    /// # Safety
+    ///
+    /// As for [`bundle_chunk`], and `n == 8` when `FULL`.
+    #[target_feature(enable = "avx2")]
+    unsafe fn chunk<const FULL: bool>(
+        lo: &[u64],
+        hi: &[u64],
+        pairs: &[[usize; 2]],
+        w0: usize,
+        n: usize,
+        shape: Planes,
+    ) -> (Chunk, Chunk) {
+        let lanes = _mm256_set1_epi64x(n as i64);
+        let mask = [
+            _mm256_cmpgt_epi64(lanes, _mm256_setr_epi64x(0, 1, 2, 3)),
+            _mm256_cmpgt_epi64(lanes, _mm256_setr_epi64x(4, 5, 6, 7)),
+        ];
+        let zero = [_mm256_setzero_si256(); 2];
+        let (mut ones, mut twos, mut fours, mut eights) = (zero, zero, zero, zero);
+        let mut upper = [zero; MAX_PLANES - 4];
+        let upper = &mut upper[..shape.count - 4];
+        let mut rounds = pairs.chunks_exact(16);
+        for g in &mut rounds {
+            macro_rules! input {
+                ($i:expr) => {
+                    bound::<FULL>(lo, hi, g[$i], w0, mask)
+                };
+            }
+            // SAFETY: every pair of `pairs` is a pair of in-bounds row
+            // starts, and the chunk's `n` words at `w0` (all 8 when
+            // `FULL`) lie inside each row, per the caller's contract.
+            let sixteens = unsafe { csa_round!(csa2, input, ones, twos, fours, eights) };
+            ripple2(upper.iter_mut(), sixteens);
+        }
+        for &pair in rounds.remainder() {
+            // SAFETY: as for the rounds above.
+            let carry = unsafe { bound::<FULL>(lo, hi, pair, w0, mask) };
+            let low = [&mut ones, &mut twos, &mut fours, &mut eights];
+            ripple2(low.into_iter().chain(upper.iter_mut()), carry);
+        }
+        let (mut gt, mut eq) = (zero, [_mm256_set1_epi64x(-1); 2]);
+        let low = [ones, twos, fours, eights];
+        for k in (0..shape.count).rev() {
+            let plane = if k < 4 { low[k] } else { upper[k - 4] };
+            if shape.half_bit(k) {
+                eq = and2(eq, plane);
+            } else {
+                gt = or2(gt, and2(eq, plane));
+                eq = [
+                    _mm256_andnot_si256(plane[0], eq[0]),
+                    _mm256_andnot_si256(plane[1], eq[1]),
+                ];
+            }
+        }
+        let (mut gt_words, mut eq_words) = ([0; CHUNK_WORDS], [0; CHUNK_WORDS]);
+        // SAFETY: each array is exactly `CHUNK_WORDS == 8` words, so the
+        // two 4-word stores exactly tile it.
+        unsafe {
+            _mm256_storeu_si256(gt_words.as_mut_ptr().cast(), gt[0]);
+            _mm256_storeu_si256(gt_words.as_mut_ptr().add(4).cast(), gt[1]);
+            _mm256_storeu_si256(eq_words.as_mut_ptr().cast(), eq[0]);
+            _mm256_storeu_si256(eq_words.as_mut_ptr().add(4).cast(), eq[1]);
+        }
+        (gt_words, eq_words)
+    }
 }
 
-/// AVX-512 kernels: the class scan on native 64-bit-lane popcounts. The
+/// AVX-512 kernels: the class scan on native 64-bit-lane popcounts and
+/// the fused edge bundle on `vpternlogq` carry-save adders. The
 /// functions are `#[target_feature]`-gated; callers must have verified
 /// AVX-512F and AVX512-VPOPCNTDQ at runtime (enforced by the private
 /// `Kind::Avx512` constructor).
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
-    use super::BLOCK_LANES;
+    use super::{Planes, BLOCK_LANES, CHUNK_WORDS, MAX_PLANES};
     use core::arch::x86_64::{
-        _mm512_add_epi64, _mm512_loadu_si512, _mm512_popcnt_epi64, _mm512_set1_epi64,
-        _mm512_setzero_si512, _mm512_storeu_si512, _mm512_xor_si512,
+        __m512i, __mmask8, _mm512_add_epi64, _mm512_and_si512, _mm512_andnot_si512,
+        _mm512_loadu_si512, _mm512_maskz_loadu_epi64, _mm512_popcnt_epi64, _mm512_set1_epi64,
+        _mm512_setzero_si512, _mm512_storeu_si512, _mm512_ternarylogic_epi64, _mm512_xor_si512,
     };
 
     /// # Safety
@@ -844,6 +1260,126 @@ mod avx512 {
                 *slot += lane;
             }
         }
+    }
+    type Chunk = [u64; CHUNK_WORDS];
+
+    /// Carry-save adder on one `vpternlogq` each: xor3 (0x96) for the
+    /// sum, majority (0xE8) for the carry.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn csa(a: __m512i, b: __m512i, c: __m512i) -> (__m512i, __m512i) {
+        (
+            _mm512_ternarylogic_epi64::<0x96>(a, b, c),
+            _mm512_ternarylogic_epi64::<0xE8>(a, b, c),
+        )
+    }
+
+    /// Adds `carry` into the bit planes, lowest first.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn ripple(planes: &mut [__m512i], mut carry: __m512i) {
+        for plane in planes {
+            (*plane, carry) = (
+                _mm512_xor_si512(*plane, carry),
+                _mm512_and_si512(*plane, carry),
+            );
+        }
+    }
+
+    /// The bound chunk `lo[a + w0..] ^ hi[b + w0..]`, the lanes outside
+    /// `mask` zeroed.
+    ///
+    /// # Safety
+    ///
+    /// AVX-512F must be available, `a + w0 < lo.len()`, `b + w0 <
+    /// hi.len()`, and every lane `mask` enables must index a word inside
+    /// its table.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn bound(
+        lo: &[u64],
+        hi: &[u64],
+        [a, b]: [usize; 2],
+        w0: usize,
+        mask: __mmask8,
+    ) -> __m512i {
+        // SAFETY: both start pointers stay inside their tables and the
+        // masked loads read only the enabled lanes, which the caller
+        // guarantees are in bounds; disabled lanes are never accessed.
+        unsafe {
+            _mm512_xor_si512(
+                _mm512_maskz_loadu_epi64(mask, lo.as_ptr().add(a + w0).cast()),
+                _mm512_maskz_loadu_epi64(mask, hi.as_ptr().add(b + w0).cast()),
+            )
+        }
+    }
+
+    /// The AVX-512 form of the scalar `bundle_chunk`: one register per
+    /// plane, and a masked load for the partial last chunk.
+    ///
+    /// # Safety
+    ///
+    /// The caller must have verified at runtime that the CPU supports
+    /// AVX-512F; every offset in `pairs` must start a whole row of its
+    /// table, `w0 + n` must not exceed the row length, and `1 <= n <= 8`.
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn bundle_chunk(
+        lo: &[u64],
+        hi: &[u64],
+        pairs: &[[usize; 2]],
+        w0: usize,
+        n: usize,
+        shape: Planes,
+    ) -> (Chunk, Chunk) {
+        let mask = (0xFFu16 >> (CHUNK_WORDS - n)) as __mmask8;
+        let zero = _mm512_setzero_si512();
+        let (mut ones, mut twos, mut fours, mut eights) = (zero, zero, zero, zero);
+        let mut upper = [zero; MAX_PLANES - 4];
+        let upper = &mut upper[..shape.count - 4];
+        let mut rounds = pairs.chunks_exact(16);
+        for g in &mut rounds {
+            macro_rules! input {
+                ($i:expr) => {
+                    bound(lo, hi, g[$i], w0, mask)
+                };
+            }
+            // SAFETY: every pair of `pairs` is a pair of in-bounds row
+            // starts and `mask` enables the `n` words at `w0`, which the
+            // caller guarantees lie inside each row.
+            let sixteens = unsafe { csa_round!(csa, input, ones, twos, fours, eights) };
+            ripple(upper, sixteens);
+        }
+        for &pair in rounds.remainder() {
+            // SAFETY: as for the rounds above.
+            let mut carry = unsafe { bound(lo, hi, pair, w0, mask) };
+            for plane in [&mut ones, &mut twos, &mut fours, &mut eights] {
+                (*plane, carry) = (
+                    _mm512_xor_si512(*plane, carry),
+                    _mm512_and_si512(*plane, carry),
+                );
+            }
+            ripple(upper, carry);
+        }
+        let (mut gt, mut eq) = (zero, _mm512_set1_epi64(-1));
+        let low = [ones, twos, fours, eights];
+        for k in (0..shape.count).rev() {
+            let plane = if k < 4 { low[k] } else { upper[k - 4] };
+            if shape.half_bit(k) {
+                eq = _mm512_and_si512(eq, plane);
+            } else {
+                // gt | (eq & plane)
+                gt = _mm512_ternarylogic_epi64::<0xF8>(gt, eq, plane);
+                eq = _mm512_andnot_si512(plane, eq);
+            }
+        }
+        let (mut gt_words, mut eq_words) = ([0; CHUNK_WORDS], [0; CHUNK_WORDS]);
+        // SAFETY: each array is exactly `CHUNK_WORDS == 8` words, one
+        // 512-bit store.
+        unsafe {
+            _mm512_storeu_si512(gt_words.as_mut_ptr().cast(), gt);
+            _mm512_storeu_si512(eq_words.as_mut_ptr().cast(), eq);
+        }
+        (gt_words, eq_words)
     }
 }
 

@@ -57,7 +57,6 @@
 
 mod accumulator;
 pub mod backend;
-mod bitslice;
 mod class_memory;
 mod error;
 mod hypervector;
@@ -66,7 +65,6 @@ mod level_memory;
 
 pub use accumulator::{Accumulator, TieBreak};
 pub use backend::Backend;
-pub use bitslice::BitSliceAccumulator;
 pub use class_memory::ClassMemory;
 pub use error::HdvError;
 pub use hypervector::Hypervector;
@@ -119,6 +117,55 @@ where
         acc.add(v);
     }
     Ok(acc.to_hypervector(tie_break))
+}
+
+/// Bundles bound row pairs straight into their majority hypervector:
+/// for each edge `(a, b, votes)`, row `a` of `lo` bound with row `b` of
+/// `hi`, counted `votes` times, with ties resolved by `tie_break`.
+///
+/// Each table holds `dim.div_ceil(64)` packed words per row (the layout
+/// of [`Hypervector::words`]); `lo` and `hi` may be the same table. The
+/// result equals adding every bound pair to an [`Accumulator`] with
+/// weight `votes` and thresholding it with `tie_break`, but it runs the
+/// fused [`Backend::bundle_edges`] kernel on the active backend and never
+/// builds the per-dimension counters. No edges (or no votes) yield the
+/// tie pattern.
+///
+/// # Panics
+///
+/// Panics under the conditions of [`Backend::bundle_edges`]: a zero
+/// `dim`, a table that is not a whole number of rows, an edge naming a
+/// row outside its table, or more than `u32::MAX` votes.
+///
+/// # Examples
+///
+/// ```
+/// use hdvec::{bundle_edges, Accumulator, ItemMemory, TieBreak};
+///
+/// let memory = ItemMemory::new(1000, 5)?;
+/// let rows: Vec<_> = (0..3).map(|i| memory.hypervector(i)).collect();
+/// let table: Vec<u64> = rows.iter().flat_map(|r| r.words().to_vec()).collect();
+/// let edges = [(0, 1, 1), (1, 2, 2)];
+/// let fused = bundle_edges(1000, &table, &table, &edges, TieBreak::Seeded(9));
+///
+/// let mut reference = Accumulator::new(1000)?;
+/// reference.add_weighted(&rows[0].bind(&rows[1]), 1);
+/// reference.add_weighted(&rows[1].bind(&rows[2]), 2);
+/// assert_eq!(fused, reference.to_hypervector(TieBreak::Seeded(9)));
+/// # Ok::<(), hdvec::HdvError>(())
+/// ```
+#[must_use]
+pub fn bundle_edges(
+    dim: usize,
+    lo: &[u64],
+    hi: &[u64],
+    edges: &[(u32, u32, u32)],
+    tie_break: TieBreak,
+) -> Hypervector {
+    let words = tie_break.with_words(dim, |tie| {
+        Backend::active().bundle_edges(dim, lo, hi, edges, tie)
+    });
+    Hypervector::from_raw(dim, words)
 }
 
 #[cfg(test)]

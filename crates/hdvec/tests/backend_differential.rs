@@ -11,7 +11,10 @@
 //! kernel is checked at every tile size from one query to
 //! `TILE_QUERIES`. The dimension grid covers both word-boundary
 //! edges and the paper-scale sizes: {1, 63, 64, 65, 127, 128, 10_000,
-//! 100_003}.
+//! 100_003}. The fused edge-bundle kernel is checked on every backend
+//! against scalar, and scalar against an `Accumulator` oracle, on a grid
+//! that adds the 512-bit chunk boundaries (511, 513) and every vote
+//! total up to 40 (the carry-save rounds take 16 votes each).
 
 use hdvec::backend::{Backend, TieWords, BLOCK_LANES, TILE_QUERIES};
 use hdvec::{Accumulator, ClassMemory, Hypervector, ItemMemory, TieBreak};
@@ -29,6 +32,97 @@ fn random_vector(dim: usize, seed: u64) -> Hypervector {
 /// Packed words of a random vector (tail bits clear by construction).
 fn random_words(dim: usize, seed: u64) -> Vec<u64> {
     random_vector(dim, seed).words().to_vec()
+}
+
+/// The fused-bundle grid: word boundaries, the first 512-bit chunk's
+/// edges, the paper's d = 10k (a partial last chunk) and a large prime.
+const BUNDLE_DIMS: [usize; 10] = [1, 63, 64, 65, 127, 128, 511, 513, 10_000, 100_003];
+
+/// A fused-bundle input: distinct `lo` and `hi` row tables of random
+/// vectors, and edges whose votes (1–4 each) total exactly `total`.
+struct BundleCase {
+    lo: Vec<Hypervector>,
+    hi: Vec<Hypervector>,
+    edges: Vec<(u32, u32, u32)>,
+}
+
+impl BundleCase {
+    fn new(dim: usize, seed: u64, total: u32) -> Self {
+        let rows = |count: u64, stream: u64| -> Vec<Hypervector> {
+            let memory = ItemMemory::new(dim, seed ^ stream).expect("non-zero dimension");
+            (0..count).map(|r| memory.hypervector(r)).collect()
+        };
+        let (lo, hi) = (rows(5, 0x10), rows(7, 0x41));
+        let mut state = seed;
+        let mut next = |bound: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) % bound
+        };
+        let mut edges = Vec::new();
+        let mut left = total;
+        while left > 0 {
+            let votes = (1 + next(4) as u32).min(left);
+            edges.push((next(5) as u32, next(7) as u32, votes));
+            left -= votes;
+        }
+        Self { lo, hi, edges }
+    }
+
+    fn table(rows: &[Hypervector]) -> Vec<u64> {
+        rows.iter().flat_map(|r| r.words().to_vec()).collect()
+    }
+
+    /// The integer oracle: every bound pair added with weight `votes`,
+    /// then thresholded.
+    fn oracle(&self, dim: usize, tie: TieBreak) -> Hypervector {
+        let mut acc = Accumulator::new(dim).expect("non-zero dimension");
+        for &(a, b, votes) in &self.edges {
+            let bound = self.lo[a as usize].bind(&self.hi[b as usize]);
+            acc.add_weighted(&bound, votes as i32);
+        }
+        acc.to_hypervector(tie)
+    }
+
+    /// Checks every backend against scalar and scalar against the oracle
+    /// under all three tie sources.
+    fn check(&self, dim: usize, tie_seed: u64) {
+        let (lo, hi) = (Self::table(&self.lo), Self::table(&self.hi));
+        // An empty bundle thresholds to the tie source itself.
+        let pattern = Accumulator::new(dim)
+            .expect("non-zero dimension")
+            .to_hypervector(TieBreak::Seeded(tie_seed));
+        for (tie, words) in [
+            (TieBreak::Positive, TieWords::Constant(0)),
+            (TieBreak::Negative, TieWords::Constant(!0)),
+            (
+                TieBreak::Seeded(tie_seed),
+                TieWords::Pattern(pattern.words()),
+            ),
+        ] {
+            let expected = Backend::scalar().bundle_edges(dim, &lo, &hi, &self.edges, words);
+            assert_eq!(
+                expected.as_slice(),
+                self.oracle(dim, tie).words(),
+                "scalar vs oracle, dim {}, {:?}, edges {:?}",
+                dim,
+                tie,
+                &self.edges
+            );
+            for backend in simd_backends() {
+                assert_eq!(
+                    &backend.bundle_edges(dim, &lo, &hi, &self.edges, words),
+                    &expected,
+                    "{} vs scalar, dim {}, {:?}, edges {:?}",
+                    backend.name(),
+                    dim,
+                    tie,
+                    &self.edges
+                );
+            }
+        }
+    }
 }
 
 fn simd_backends() -> Vec<Backend> {
@@ -183,6 +277,17 @@ proptest! {
         }
     }
 
+    #[test]
+    fn bundle_edges_matches_scalar_and_oracle(
+        dim_idx in 0usize..BUNDLE_DIMS.len(),
+        seed in any::<u64>(),
+        total in 0u32..=40,
+        tie_seed in any::<u64>(),
+    ) {
+        let dim = BUNDLE_DIMS[dim_idx];
+        BundleCase::new(dim, seed, total).check(dim, tie_seed);
+    }
+
     /// End-to-end: the public types (whose hot paths run on the *active*
     /// backend, whichever that is) agree with explicit scalar kernels.
     #[test]
@@ -238,6 +343,18 @@ fn class_memory_matches_naive_scoring_at_1_2_23_classes() {
                 naive_cosine,
                 "cosine classes {classes} dim {dim}"
             );
+        }
+    }
+}
+
+/// Every vote total from 0 to 40 — both parities and each carry-save
+/// round edge (15/16/17, 31/32/33) — at a whole-word, a one-past-chunk
+/// and the paper's dimension, on every backend.
+#[test]
+fn bundle_edges_handles_every_vote_total_up_to_40() {
+    for dim in [64usize, 513, 10_000] {
+        for total in 0..=40 {
+            BundleCase::new(dim, 0x5EED ^ u64::from(total), total).check(dim, 0x71E);
         }
     }
 }

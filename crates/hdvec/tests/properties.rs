@@ -1,6 +1,6 @@
 //! Property-based tests for the HDC algebra.
 
-use hdvec::{bundle, Accumulator, BitSliceAccumulator, Hypervector, ItemMemory, TieBreak};
+use hdvec::{bundle, bundle_edges, Accumulator, Hypervector, ItemMemory, TieBreak};
 use proptest::prelude::*;
 
 /// Strategy: a dimension that exercises word boundaries.
@@ -133,19 +133,31 @@ proptest! {
     }
 
     #[test]
-    fn bitslice_equals_reference_accumulation((dim, seed) in dim_and_seed(), n in 0usize..40) {
-        // The bit-sliced vertical-counter bundle must agree exactly with
-        // the i32-counter reference for any bundle size, including the
-        // plane-growth boundaries (powers of two).
-        let mut fast = BitSliceAccumulator::new(dim).expect("non-zero dimension");
+    fn fused_bundle_equals_reference_accumulation(
+        (dim, seed) in dim_and_seed(),
+        n in 0usize..40,
+        tie_seed in any::<u64>(),
+    ) {
+        // The fused edge bundle must agree exactly with the i32-counter
+        // reference for any bundle size, including the carry-save round
+        // boundaries (multiples of 16) and the plane-growth boundaries
+        // (powers of two). Binding every vector with the all-+1 row
+        // bundles the vectors themselves.
+        let vectors: Vec<Hypervector> = (0..n).map(|i| vector(dim, seed, i as u64)).collect();
         let mut reference = Accumulator::new(dim).expect("non-zero dimension");
-        for i in 0..n {
-            let v = vector(dim, seed, i as u64);
-            fast.add(&v);
-            reference.add(&v);
+        for v in &vectors {
+            reference.add(v);
         }
-        prop_assert_eq!(fast.added(), n as u64);
-        prop_assert_eq!(fast.to_accumulator(), reference);
+        prop_assert_eq!(reference.added(), n as u64);
+        let table: Vec<u64> = vectors.iter().flat_map(|v| v.words().to_vec()).collect();
+        let identity = Hypervector::positive(dim).expect("non-zero dimension");
+        let edges: Vec<(u32, u32, u32)> = (0..n as u32).map(|i| (i, 0, 1)).collect();
+        for tie in [TieBreak::Positive, TieBreak::Negative, TieBreak::Seeded(tie_seed)] {
+            prop_assert_eq!(
+                bundle_edges(dim, &table, identity.words(), &edges, tie),
+                reference.to_hypervector(tie)
+            );
+        }
     }
 
     #[test]
