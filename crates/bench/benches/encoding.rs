@@ -64,6 +64,7 @@ fn bench_bundle_edges(c: &mut Criterion) {
                 BenchmarkId::new(backend.name(), edges),
                 &edges,
                 |bencher, _| {
+                    let mut out = vec![0u64; stride];
                     bencher.iter(|| {
                         backend.bundle_edges(
                             dim,
@@ -71,7 +72,9 @@ fn bench_bundle_edges(c: &mut Criterion) {
                             &rows,
                             &list,
                             TieWords::Constant(0),
-                        )
+                            &mut out,
+                        );
+                        out[0]
                     });
                 },
             );

@@ -235,10 +235,17 @@ impl GraphEncoder {
     /// The fused bundle behind [`encode`](Self::encode): gathers each
     /// vertex hypervector once per role into a per-graph row table, then
     /// [`hdvec::bundle_edges`] binds, counts and thresholds the edges 512
-    /// bits at a time without per-dimension counters. Bit-identical to
-    /// thresholding [`accumulate_edges`](Self::accumulate_edges). The
-    /// tables and the edge list live only for the call.
-    pub(crate) fn bundle_edges(&self, graph: &Graph, recipe: EdgeRecipe<'_>) -> Hypervector {
+    /// bits at a time into `out`, without per-dimension counters.
+    /// Bit-identical to thresholding
+    /// [`accumulate_edges`](Self::accumulate_edges). The tables and the
+    /// edge list live only for the call; `out`, allocated by the caller
+    /// before them, outlives them (see [`encode`](Self::encode)).
+    pub(crate) fn bundle_edges(
+        &self,
+        graph: &Graph,
+        recipe: EdgeRecipe<'_>,
+        out: &mut Hypervector,
+    ) {
         let n = graph.vertex_count();
         let stride = self.config.dim.div_ceil(64);
         let mut first = Rows::new(n, stride);
@@ -261,13 +268,7 @@ impl GraphEncoder {
         } else {
             &first.words
         };
-        hdvec::bundle_edges(
-            self.config.dim,
-            &first.words,
-            hi,
-            &edges,
-            self.config.tie_break,
-        )
+        hdvec::bundle_edges(&first.words, hi, &edges, self.config.tie_break, out);
     }
 
     /// Encodes a graph into its bipolar graph hypervector — the `Enc_G`
@@ -277,7 +278,20 @@ impl GraphEncoder {
     #[must_use]
     pub fn encode(&self, graph: &Graph) -> Hypervector {
         crate::metrics::metrics().graphs_encoded.inc();
-        self.with_recipe(graph, |recipe| self.bundle_edges(graph, recipe))
+        let mut encoding = self.blank_encoding();
+        self.with_recipe(graph, |recipe| {
+            self.bundle_edges(graph, recipe, &mut encoding)
+        });
+        encoding
+    }
+
+    /// A fresh output vector for [`bundle_edges`](Self::bundle_edges).
+    /// Callers allocate it before the per-graph tables: an encoding
+    /// outlives them, and one allocated after them would sit between
+    /// their freed blocks, leaving holes across a batch that later
+    /// allocations (such as class accumulators) cannot reuse.
+    pub(crate) fn blank_encoding(&self) -> Hypervector {
+        Hypervector::positive(self.config.dim).expect("dimension validated at construction")
     }
 
     /// Encodes many graphs, parallelised on the encoder's pool. Accepts

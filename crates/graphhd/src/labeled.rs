@@ -98,20 +98,23 @@ impl LabeledGraphEncoder {
                 labels: labels.len(),
             });
         }
+        let mut encoding = self.inner.blank_encoding();
         let ranks = self.inner.vertex_ranks(graph);
         let vertex = |v: usize| {
             let mut hv = self.inner.rank_hypervector(ranks[v]);
             hv.bind_assign(&self.label_memory.hypervector(u64::from(labels[v])));
             hv
         };
-        Ok(self.inner.bundle_edges(
+        self.inner.bundle_edges(
             graph,
             EdgeRecipe {
                 vertex: &vertex,
                 orient_by: None,
                 weight_cap: None,
             },
-        ))
+            &mut encoding,
+        );
+        Ok(encoding)
     }
 }
 

@@ -288,9 +288,10 @@ impl Backend {
         }
     }
 
-    /// The fused edge-bundle kernel: the packed majority of the bound
-    /// pairs `lo[a] ⊗ hi[b]`, each edge `(a, b, votes)` counted `votes`
-    /// times, without materialising per-dimension counters.
+    /// The fused edge-bundle kernel: writes into `out` the packed
+    /// majority of the bound pairs `lo[a] ⊗ hi[b]`, each edge `(a, b,
+    /// votes)` counted `votes` times, without materialising
+    /// per-dimension counters.
     ///
     /// `lo` and `hi` are row tables of `dim.div_ceil(64)` words per row
     /// (row `r` is words `r * stride..(r + 1) * stride`); they may be the
@@ -310,11 +311,10 @@ impl Backend {
     ///
     /// # Panics
     ///
-    /// Panics if `dim == 0`, a table is not a whole number of rows, an
-    /// edge names a row outside its table, a [`TieWords::Pattern`] holds
-    /// fewer than `dim.div_ceil(64)` words, or the votes total more than
-    /// `u32::MAX`.
-    #[must_use]
+    /// Panics if `dim == 0`, `out` or a [`TieWords::Pattern`] does not
+    /// hold `dim.div_ceil(64)` words, a table is not a whole number of
+    /// rows, an edge names a row outside its table, or the votes total
+    /// more than `u32::MAX`.
     pub fn bundle_edges(
         self,
         dim: usize,
@@ -322,9 +322,11 @@ impl Backend {
         hi: &[u64],
         edges: &[(u32, u32, u32)],
         tie: TieWords<'_>,
-    ) -> Vec<u64> {
+        out: &mut [u64],
+    ) {
         assert!(dim > 0, "a fused bundle needs a non-zero dimension");
         let stride = dim.div_ceil(64);
+        assert_eq!(out.len(), stride, "the output needs dim.div_ceil(64) words");
         assert!(
             lo.len().is_multiple_of(stride) && hi.len().is_multiple_of(stride),
             "row tables must hold whole rows of dim.div_ceil(64) words"
@@ -359,7 +361,6 @@ impl Backend {
             count: ((u32::BITS - added.leading_zeros()) as usize).max(4),
             half: added / 2,
         };
-        let mut out = vec![0u64; stride];
         for (chunk, words) in out.chunks_mut(CHUNK_WORDS).enumerate() {
             let w0 = chunk * CHUNK_WORDS;
             let (gt, eq) = match self.0 {
@@ -387,7 +388,6 @@ impl Backend {
         if !dim.is_multiple_of(64) {
             out[stride - 1] &= (1u64 << (dim % 64)) - 1;
         }
-        out
     }
 
     /// Packs ±1 components into sign words (bit = 1 ⇔ −1). On the first

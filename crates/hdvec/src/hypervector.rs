@@ -59,6 +59,12 @@ impl Hypervector {
         Self { dim, words }
     }
 
+    /// The packed words, for kernels that overwrite them in place. The
+    /// caller must leave the tail bits beyond `dim` clear.
+    pub(crate) fn words_mut(&mut self) -> &mut [u64] {
+        &mut self.words
+    }
+
     /// Creates the all-(+1) hypervector, the identity element of binding.
     ///
     /// # Errors

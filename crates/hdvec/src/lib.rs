@@ -119,34 +119,38 @@ where
     Ok(acc.to_hypervector(tie_break))
 }
 
-/// Bundles bound row pairs straight into their majority hypervector:
-/// for each edge `(a, b, votes)`, row `a` of `lo` bound with row `b` of
-/// `hi`, counted `votes` times, with ties resolved by `tie_break`.
+/// Bundles bound row pairs straight into `out`, their majority
+/// hypervector: for each edge `(a, b, votes)`, row `a` of `lo` bound with
+/// row `b` of `hi`, counted `votes` times, with ties resolved by
+/// `tie_break`.
 ///
-/// Each table holds `dim.div_ceil(64)` packed words per row (the layout
-/// of [`Hypervector::words`]); `lo` and `hi` may be the same table. The
-/// result equals adding every bound pair to an [`Accumulator`] with
-/// weight `votes` and thresholding it with `tie_break`, but it runs the
-/// fused [`Backend::bundle_edges`] kernel on the active backend and never
-/// builds the per-dimension counters. No edges (or no votes) yield the
-/// tie pattern.
+/// Each table holds `out.dim().div_ceil(64)` packed words per row (the
+/// layout of [`Hypervector::words`]); `lo` and `hi` may be the same
+/// table. The result equals adding every bound pair to an
+/// [`Accumulator`] with weight `votes` and thresholding it with
+/// `tie_break`, but it runs the fused [`Backend::bundle_edges`] kernel on
+/// the active backend and never builds the per-dimension counters. No
+/// edges (or no votes) yield the tie pattern. Writing into a
+/// caller-allocated vector lets a caller allocate its long-lived result
+/// before its short-lived tables.
 ///
 /// # Panics
 ///
-/// Panics under the conditions of [`Backend::bundle_edges`]: a zero
-/// `dim`, a table that is not a whole number of rows, an edge naming a
-/// row outside its table, or more than `u32::MAX` votes.
+/// Panics under the conditions of [`Backend::bundle_edges`]: a table
+/// that is not a whole number of rows, an edge naming a row outside its
+/// table, or more than `u32::MAX` votes.
 ///
 /// # Examples
 ///
 /// ```
-/// use hdvec::{bundle_edges, Accumulator, ItemMemory, TieBreak};
+/// use hdvec::{bundle_edges, Accumulator, Hypervector, ItemMemory, TieBreak};
 ///
 /// let memory = ItemMemory::new(1000, 5)?;
 /// let rows: Vec<_> = (0..3).map(|i| memory.hypervector(i)).collect();
 /// let table: Vec<u64> = rows.iter().flat_map(|r| r.words().to_vec()).collect();
 /// let edges = [(0, 1, 1), (1, 2, 2)];
-/// let fused = bundle_edges(1000, &table, &table, &edges, TieBreak::Seeded(9));
+/// let mut fused = Hypervector::positive(1000)?;
+/// bundle_edges(&table, &table, &edges, TieBreak::Seeded(9), &mut fused);
 ///
 /// let mut reference = Accumulator::new(1000)?;
 /// reference.add_weighted(&rows[0].bind(&rows[1]), 1);
@@ -154,18 +158,17 @@ where
 /// assert_eq!(fused, reference.to_hypervector(TieBreak::Seeded(9)));
 /// # Ok::<(), hdvec::HdvError>(())
 /// ```
-#[must_use]
 pub fn bundle_edges(
-    dim: usize,
     lo: &[u64],
     hi: &[u64],
     edges: &[(u32, u32, u32)],
     tie_break: TieBreak,
-) -> Hypervector {
-    let words = tie_break.with_words(dim, |tie| {
-        Backend::active().bundle_edges(dim, lo, hi, edges, tie)
+    out: &mut Hypervector,
+) {
+    let dim = out.dim();
+    tie_break.with_words(dim, |tie| {
+        Backend::active().bundle_edges(dim, lo, hi, edges, tie, out.words_mut());
     });
-    Hypervector::from_raw(dim, words)
 }
 
 #[cfg(test)]

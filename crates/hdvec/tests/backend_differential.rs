@@ -101,7 +101,13 @@ impl BundleCase {
                 TieWords::Pattern(pattern.words()),
             ),
         ] {
-            let expected = Backend::scalar().bundle_edges(dim, &lo, &hi, &self.edges, words);
+            let run = |backend: Backend| {
+                // Garbage in the output must be overwritten.
+                let mut out = vec![!0u64; dim.div_ceil(64)];
+                backend.bundle_edges(dim, &lo, &hi, &self.edges, words, &mut out);
+                out
+            };
+            let expected = run(Backend::scalar());
             assert_eq!(
                 expected.as_slice(),
                 self.oracle(dim, tie).words(),
@@ -112,7 +118,7 @@ impl BundleCase {
             );
             for backend in simd_backends() {
                 assert_eq!(
-                    &backend.bundle_edges(dim, &lo, &hi, &self.edges, words),
+                    &run(backend),
                     &expected,
                     "{} vs scalar, dim {}, {:?}, edges {:?}",
                     backend.name(),
