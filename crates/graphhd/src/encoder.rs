@@ -318,7 +318,6 @@ impl GraphEncoder {
 /// topology-derived, so the encoding stays isomorphism-invariant);
 /// without, the bind is symmetric. With a `weight_cap`, each edge votes
 /// `1 + min(common_neighbors, weight_cap − 1)` times instead of once.
-#[derive(Clone, Copy)]
 pub(crate) struct EdgeRecipe<'a> {
     pub(crate) vertex: &'a dyn Fn(usize) -> Hypervector,
     pub(crate) orient_by: Option<&'a [u32]>,

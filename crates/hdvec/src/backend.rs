@@ -337,10 +337,16 @@ impl Backend {
                 "tie pattern needs one word per 64 dimensions"
             );
         }
-        // The chunk kernels load rows at these word offsets without bounds
-        // checks, so every endpoint is validated here, once.
+        let total: u64 = edges.iter().map(|&(_, _, votes)| u64::from(votes)).sum();
+        assert!(
+            total <= u64::from(u32::MAX),
+            "a fused bundle counts at most u32::MAX votes"
+        );
+        let added = total as u32;
+        // The SIMD chunk kernels load rows at these word offsets without
+        // bounds checks, so every endpoint is validated here, once.
         let (lo_rows, hi_rows) = (lo.len() / stride, hi.len() / stride);
-        let mut pairs = Vec::with_capacity(edges.len());
+        let mut pairs = Vec::with_capacity(added as usize);
         for &(a, b, votes) in edges {
             let (a, b) = (a as usize, b as usize);
             assert!(
@@ -352,11 +358,6 @@ impl Backend {
                 votes as usize,
             ));
         }
-        assert!(
-            pairs.len() <= u32::MAX as usize,
-            "a fused bundle counts at most u32::MAX votes"
-        );
-        let added = pairs.len() as u32;
         let shape = Planes {
             count: ((u32::BITS - added.leading_zeros()) as usize).max(4),
             half: added / 2,
@@ -1562,6 +1563,22 @@ mod tests {
             .contains(&names.as_slice()),
             "unexpected backend list {names:?}"
         );
+    }
+
+    #[test]
+    fn bundle_edges_rejects_rows_outside_their_tables() {
+        // The SIMD kernels load rows unchecked; the dispatcher must stop
+        // an out-of-table endpoint on every backend before they run.
+        let (lo, hi) = (words(2 * 2, 1), words(3 * 2, 2));
+        for backend in Backend::available() {
+            for edge in [(2, 0, 1), (0, 3, 1)] {
+                let result = std::panic::catch_unwind(|| {
+                    let mut out = [0u64; 2];
+                    backend.bundle_edges(128, &lo, &hi, &[edge], TieWords::Constant(0), &mut out);
+                });
+                assert!(result.is_err(), "{} accepted edge {edge:?}", backend.name());
+            }
+        }
     }
 
     #[test]
