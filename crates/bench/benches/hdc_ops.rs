@@ -21,8 +21,9 @@ fn bench_hdc_ops(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("cosine", dim), &dim, |bencher, _| {
             bencher.iter(|| black_box(&a).cosine(black_box(&b)));
         });
-        // The raw fused XOR+popcount kernel, without the dot/cosine
-        // arithmetic on top — the unit the SIMD backend dispatches.
+        // The scalar Harley–Seal XOR+popcount, without the dot/cosine
+        // arithmetic on top. Not dispatched: decisions and scores run on
+        // the class scan (`similarity` bench, `class_scan_2048` group).
         group.bench_with_input(BenchmarkId::new("hamming", dim), &dim, |bencher, _| {
             bencher.iter(|| black_box(&a).hamming(black_box(&b)));
         });

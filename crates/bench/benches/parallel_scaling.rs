@@ -72,7 +72,7 @@ fn bench_parallel_scaling(c: &mut Criterion) {
                         num_classes,
                     )
                     .expect("valid inputs");
-                    model.predict_batch(black_box(&test_graphs))
+                    model.predict_all(black_box(&test_graphs))
                 });
             },
         );

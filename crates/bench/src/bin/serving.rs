@@ -342,11 +342,11 @@ fn main() {
     let direct_rounds = if quick { 200 } else { 2000 };
     let started = Instant::now();
     for _ in 0..direct_rounds {
-        let _ = model.predict_batch(&queries);
+        let _ = model.predict_all(&queries);
     }
     let direct = started.elapsed().as_secs_f64();
     let direct_per_query = direct * 1e6 / (direct_rounds * queries.len()) as f64;
-    eprintln!("direct predict_batch: {direct_per_query:.1} us/query (no queue)");
+    eprintln!("direct predict_all: {direct_per_query:.1} us/query (no queue)");
 
     let rounds = |batch: usize| -> usize {
         let base = if quick { 2_000 } else { 20_000 };

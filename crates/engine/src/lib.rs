@@ -79,7 +79,7 @@
 //!
 //! assert_eq!(engine.classify(&generate::complete(10))?, 0);
 //! let worker = engine.clone(); // cheap handle for another thread
-//! assert_eq!(worker.classify_batch(&graphs)?, engine.model().predict_batch(&graphs));
+//! assert_eq!(worker.classify_batch(&graphs)?, engine.model().predict_all(&graphs));
 //! # Ok::<(), graphhd::Error>(())
 //! ```
 
@@ -962,7 +962,7 @@ mod tests {
         // Capacity 2 with a 32-graph batch: the submit loop must ride
         // the backpressure (the submitter serves while it enqueues).
         let (engine, graphs) = toy_engine(512, 2, 2);
-        let expected = engine.model().predict_batch(&graphs);
+        let expected = engine.model().predict_all(&graphs);
         assert_eq!(
             engine.classify_batch(&graphs).expect("engine alive"),
             expected
@@ -1266,7 +1266,7 @@ mod tests {
     fn from_model_serves_an_existing_model() {
         let graphs = toy().0;
         let model = toy_model(1024);
-        let expected = model.predict_batch(&graphs);
+        let expected = model.predict_all(&graphs);
         let engine = Engine::builder()
             .threads(2)
             .from_model(model)
@@ -1286,7 +1286,7 @@ mod tests {
             .build()
             .expect("valid dimension");
         let model = GraphHdModel::fit(config, &graphs, &labels, 2).expect("valid inputs");
-        let expected = model.predict_batch(&graphs);
+        let expected = model.predict_all(&graphs);
         for threads in [1, 3] {
             let engine = Engine::builder()
                 .threads(threads)

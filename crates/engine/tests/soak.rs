@@ -48,7 +48,7 @@ fn concurrent_submitters_match_serial_predictions() {
             &labels,
         ))
         .expect("valid knobs");
-    let expected = engine.model().predict_batch(&graphs);
+    let expected = engine.model().predict_all(&graphs);
 
     const SUBMITTERS: usize = 4;
     const REQUESTS_PER_THREAD: usize = 50;
@@ -117,7 +117,7 @@ fn shutdown_racing_submitters_never_corrupts_results() {
         .max_batch(2)
         .from_model(fitted(GraphHdConfig::builder().dim(512), &graphs, &labels))
         .expect("valid knobs");
-    let expected = engine.model().predict_batch(&graphs);
+    let expected = engine.model().predict_all(&graphs);
 
     std::thread::scope(|scope| {
         let mut handles = Vec::new();
@@ -177,7 +177,7 @@ fn overload_policies_reconcile_under_sustained_pressure() {
             .overload_policy(policy)
             .from_model(fitted(GraphHdConfig::builder().dim(512), &graphs, &labels))
             .expect("valid knobs");
-        let expected = engine.model().predict_batch(&graphs);
+        let expected = engine.model().predict_all(&graphs);
 
         let started = Instant::now();
         let (ok, overloaded) = std::thread::scope(|scope| {

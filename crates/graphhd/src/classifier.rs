@@ -242,7 +242,7 @@ mod tests {
         assert!(accuracy >= 0.9, "training accuracy {accuracy}");
         // The trait predictions match the underlying model's.
         let model = clf.model().expect("fitted");
-        assert_eq!(predictions, model.predict_batch(&graphs));
+        assert_eq!(predictions, model.predict_all(&graphs));
     }
 
     #[test]

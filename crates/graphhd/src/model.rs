@@ -285,9 +285,9 @@ impl GraphHdModel {
             .concat()
     }
 
-    /// Predicts a batch of owned graphs — the ergonomic entry point for
-    /// callers holding a `Vec<Graph>`, who previously had to build a
-    /// `Vec<&Graph>` just to call [`predict_all`](Self::predict_all).
+    /// Predicts a batch of owned graphs: an alias of
+    /// [`predict_all`](Self::predict_all), which takes `&[Graph]` as
+    /// well. Prefer `predict_all`; this alias is due for removal.
     #[must_use]
     pub fn predict_batch(&self, graphs: &[Graph]) -> Vec<u32> {
         self.predict_all(graphs)
@@ -437,7 +437,7 @@ mod tests {
     #[test]
     fn separable_task_is_learned() {
         let (model, graphs, labels) = fit_toy(10_000);
-        let predictions = model.predict_batch(&graphs);
+        let predictions = model.predict_all(&graphs);
         let accuracy = predictions
             .iter()
             .zip(&labels)
@@ -542,7 +542,7 @@ mod tests {
             GraphHdModel::fit_with_encoder(encoder, &graphs, &labels, 2).expect("valid inputs")
         };
         let serial = fit_at(1);
-        let serial_predictions = serial.predict_batch(&graphs);
+        let serial_predictions = serial.predict_all(&graphs);
         for threads in [2usize, 3, 8] {
             let parallel = fit_at(threads);
             assert_eq!(
@@ -551,7 +551,7 @@ mod tests {
                 "fit diverged at {threads} threads"
             );
             assert_eq!(
-                parallel.predict_batch(&graphs),
+                parallel.predict_all(&graphs),
                 serial_predictions,
                 "predict diverged at {threads} threads"
             );
@@ -843,7 +843,7 @@ mod tests {
         let (model, graphs, labels) = fit_toy(10_000);
         let mut rng = Xoshiro256PlusPlus::seed_from_u64(9);
         let noisy = model.with_noisy_class_vectors(0.10, &mut rng);
-        let predictions = noisy.predict_batch(&graphs);
+        let predictions = noisy.predict_all(&graphs);
         let accuracy = predictions
             .iter()
             .zip(&labels)

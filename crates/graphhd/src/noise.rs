@@ -138,7 +138,7 @@ mod tests {
     #[test]
     fn zero_noise_is_clean_accuracy() {
         let (model, graphs, labels) = separable_model();
-        let clean = correct_fraction(&model.predict_batch(&graphs), &labels);
+        let clean = correct_fraction(&model.predict_all(&graphs), &labels);
         assert_eq!(
             accuracy_under_model_noise(&model, &graphs, &labels, 0.0, 7),
             clean

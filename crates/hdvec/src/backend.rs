@@ -1,33 +1,40 @@
 //! Runtime-dispatched kernel backends for the packed-word hot paths.
 //!
-//! Every similarity, bundling and packing operation in this crate reduces
-//! to a handful of bulk kernels over `u64` words (XOR+popcount, signed
-//! counter updates, thresholding, sign packing, and the fused edge
-//! bundle that binds, counts and thresholds in one pass). This module
-//! provides three implementations:
+//! Four bulk kernels over `u64` words carry the traffic, and only they
+//! are dispatched:
 //!
-//! - **Scalar** — portable Rust, the *source of truth*. The popcount
-//!   kernels use an unrolled Harley–Seal carry-save-adder tree (16 words
-//!   per round), which cuts the number of `count_ones` invocations ~4×;
-//!   that matters on targets where `count_ones` lowers to the SWAR
-//!   bit-twiddling sequence rather than a `popcnt` instruction. The
-//!   fused edge bundle ([`Backend::bundle_edges`]) runs the same tree
-//!   over `[u64; 8]` chunks of bound edges.
+//! - [`Backend::bundle_edges`] — graph encoding: the fused edge bundle
+//!   that binds, counts and thresholds in one pass;
+//! - [`Backend::hamming_tile`] — inference: the class scan that scores a
+//!   tile of queries against a block of interleaved class vectors;
+//! - [`Backend::add_weighted`] and [`Backend::threshold`] — the signed
+//!   counter update and sign packing of the `fit` and `retrain`
+//!   accumulators.
+//!
+//! Each has three implementations:
+//!
+//! - **Scalar** — portable Rust, the *source of truth*. The fused edge
+//!   bundle runs an unrolled Harley–Seal carry-save-adder tree (16 votes
+//!   per round) over `[u64; 8]` chunks of bound edges.
 //! - **Avx2** — `std::arch` intrinsics (AVX2 + POPCNT, via the positional
 //!   nibble-lookup popcount of Muła et al.), selected at runtime with
 //!   `is_x86_feature_detected!`. The fused edge bundle holds each
 //!   512-bit chunk in two registers.
 //! - **Avx512** — selected when AVX-512F and AVX512-VPOPCNTDQ are
 //!   detected on top of AVX2 + POPCNT. Two kernels are native: the class
-//!   scan ([`Backend::hamming_tile`]), a `vpopcntq` over one whole
-//!   8-lane block per 512-bit register, and the fused edge bundle
-//!   ([`Backend::bundle_edges`]), one register per chunk with each
-//!   carry-save adder two `vpternlogq` ops and a masked load for the
-//!   partial last chunk. Every other kernel runs the AVX2 code.
+//!   scan, a `vpopcntq` over one whole 8-lane block per 512-bit
+//!   register, and the fused edge bundle, one register per chunk with
+//!   each carry-save adder two `vpternlogq` ops and a masked load for
+//!   the partial last chunk. The counter kernels run the AVX2 code.
+//!
+//! Everything else over packed words — Hamming distance and popcount
+//! (the crate-private Harley–Seal `hamming` and `popcount` here),
+//! binding and component packing — is plain portable code that no
+//! workload spends its time in.
 //!
 //! Dispatch happens once per process: [`Backend::active`] caches the
 //! detected backend, and setting the environment variable
-//! `GRAPHHD_FORCE_SCALAR` (to anything but `0` or the empty string)
+//! `GRAPHHD_FORCE_SCALAR` (to anything but empty, `0`, `false` or `off`)
 //! pins the scalar reference — the differential-testing and
 //! benchmarking switch. Tests and benches compare backends directly by
 //! value: [`Backend::scalar`] versus every entry of
@@ -121,6 +128,16 @@ enum Kind {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Backend(Kind);
 
+/// Whether a `GRAPHHD_FORCE_SCALAR` value pins the scalar backend: any
+/// value but unset, empty, `0`, `false` or `off` (trimmed, any case)
+/// does — the off-words of `GRAPHHD_TELEMETRY`.
+fn forces_scalar(value: Option<&str>) -> bool {
+    value.is_some_and(|raw| {
+        let v = raw.trim().to_ascii_lowercase();
+        !matches!(v.as_str(), "" | "0" | "false" | "off")
+    })
+}
+
 impl Backend {
     /// The portable scalar reference backend (always available).
     #[must_use]
@@ -171,9 +188,12 @@ impl Backend {
     #[must_use]
     pub fn active() -> Self {
         static ACTIVE: OnceLock<Backend> = OnceLock::new();
-        *ACTIVE.get_or_init(|| match std::env::var("GRAPHHD_FORCE_SCALAR") {
-            Ok(v) if !v.is_empty() && v != "0" => Backend::scalar(),
-            _ => Backend::detect(),
+        *ACTIVE.get_or_init(|| {
+            if forces_scalar(std::env::var("GRAPHHD_FORCE_SCALAR").ok().as_deref()) {
+                Backend::scalar()
+            } else {
+                Backend::detect()
+            }
         })
     }
 
@@ -195,51 +215,6 @@ impl Backend {
         self != Backend::scalar()
     }
 
-    /// Fused XOR + popcount over two equal-length word slices — the
-    /// Hamming-distance kernel.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slice lengths differ.
-    #[must_use]
-    pub fn hamming(self, a: &[u64], b: &[u64]) -> u64 {
-        assert_eq!(a.len(), b.len(), "hamming kernel needs equal word counts");
-        match self.0 {
-            Kind::Scalar => scalar::hamming(a, b),
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `Kind::Avx2` and `Kind::Avx512` values are only
-            // created by `detect()` / `available()` after
-            // `is_x86_feature_detected!` confirmed AVX2 and POPCNT.
-            Kind::Avx2 | Kind::Avx512 => unsafe { avx2::hamming(a, b) },
-        }
-    }
-
-    /// Popcount over a word slice (the `count_negative` kernel).
-    #[must_use]
-    pub fn popcount(self, words: &[u64]) -> u64 {
-        match self.0 {
-            Kind::Scalar => scalar::popcount(words),
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: both SIMD kinds imply runtime-verified AVX2+POPCNT.
-            Kind::Avx2 | Kind::Avx512 => unsafe { avx2::popcount(words) },
-        }
-    }
-
-    /// In-place XOR (`dst[i] ^= src[i]`) — the binding kernel.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slice lengths differ.
-    pub fn xor_assign(self, dst: &mut [u64], src: &[u64]) {
-        assert_eq!(dst.len(), src.len(), "xor kernel needs equal word counts");
-        match self.0 {
-            Kind::Scalar => scalar::xor_assign(dst, src),
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: both SIMD kinds imply runtime-verified AVX2+POPCNT.
-            Kind::Avx2 | Kind::Avx512 => unsafe { avx2::xor_assign(dst, src) },
-        }
-    }
-
     /// Signed counter update: `counts[i] += weight` where bit `i` of
     /// `words` is clear, `counts[i] -= weight` where it is set. `counts`
     /// may be shorter than `64 * words.len()` (partial tail word); bits
@@ -258,7 +233,9 @@ impl Backend {
         match self.0 {
             Kind::Scalar => scalar::add_weighted(counts, words, weight),
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: both SIMD kinds imply runtime-verified AVX2+POPCNT.
+            // SAFETY: `Kind::Avx2` and `Kind::Avx512` values are only
+            // created by `detect()` / `available()` after
+            // `is_x86_feature_detected!` confirmed AVX2 and POPCNT.
             Kind::Avx2 | Kind::Avx512 => unsafe { avx2::add_weighted(counts, words, weight) },
         }
     }
@@ -391,21 +368,6 @@ impl Backend {
         }
     }
 
-    /// Packs ±1 components into sign words (bit = 1 ⇔ −1). On the first
-    /// value that is neither +1 nor −1, returns `Err((index, value))`.
-    ///
-    /// # Errors
-    ///
-    /// Returns the index and value of the first invalid component.
-    pub fn pack_components(self, components: &[i8]) -> Result<Vec<u64>, (usize, i8)> {
-        match self.0 {
-            Kind::Scalar => scalar::pack_components(components),
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: both SIMD kinds imply runtime-verified AVX2+POPCNT.
-            Kind::Avx2 | Kind::Avx512 => unsafe { avx2::pack_components(components) },
-        }
-    }
-
     /// The class-scan kernel: for each query of a tile and each of the
     /// [`BLOCK_LANES`] vectors interleaved in `block`
     /// (`block[w * BLOCK_LANES + lane]` is word `w` of vector `lane`),
@@ -474,7 +436,7 @@ macro_rules! by_tile_size {
 /// `$input!(15)` into the carry-save planes `$ones`, `$twos`, `$fours`
 /// and `$eights` with the three-input adder `$csa` (returning `(sum,
 /// carry)`), and evaluates to the round's `sixteens` carry. Shared by
-/// the popcount kernels and the fused edge-bundle kernels.
+/// the scalar popcount and the fused edge-bundle kernels.
 macro_rules! csa_round {
     ($csa:ident, $input:ident, $ones:ident, $twos:ident, $fours:ident, $eights:ident) => {{
         let (mut twos_a, mut twos_b, mut fours_a, mut fours_b, eights_a, eights_b, sixteens);
@@ -496,6 +458,8 @@ macro_rules! csa_round {
         sixteens
     }};
 }
+
+pub(crate) use scalar::{hamming, popcount};
 
 /// Portable reference kernels. Exact by construction; every other backend
 /// is tested bit-identical against these.
@@ -538,18 +502,15 @@ mod scalar {
         total
     }
 
+    /// Hamming distance of two word slices; `b` must be at least as
+    /// long as `a`.
     pub fn hamming(a: &[u64], b: &[u64]) -> u64 {
         harley_seal(a.len(), |i| a[i] ^ b[i])
     }
 
+    /// Number of set bits in a word slice.
     pub fn popcount(words: &[u64]) -> u64 {
         harley_seal(words.len(), |i| words[i])
-    }
-
-    pub fn xor_assign(dst: &mut [u64], src: &[u64]) {
-        for (d, s) in dst.iter_mut().zip(src) {
-            *d ^= s;
-        }
     }
 
     pub fn add_weighted(counts: &mut [i32], words: &[u64], weight: i32) {
@@ -589,39 +550,21 @@ mod scalar {
     }
 
     pub fn threshold(counts: &[i32], tie: TieWords<'_>) -> Vec<u64> {
-        let mut words = Vec::with_capacity(counts.len().div_ceil(64));
-        for (chunk_idx, chunk) in counts.chunks(64).enumerate() {
-            let tie_word = tie.word(chunk_idx);
-            let mut word = 0u64;
-            for (bit, &c) in chunk.iter().enumerate() {
-                let negative = match c.cmp(&0) {
-                    core::cmp::Ordering::Less => true,
-                    core::cmp::Ordering::Greater => false,
-                    core::cmp::Ordering::Equal => (tie_word >> bit) & 1 == 1,
-                };
-                word |= u64::from(negative) << bit;
-            }
-            words.push(word);
-        }
-        words
-    }
-
-    pub fn pack_components(components: &[i8]) -> Result<Vec<u64>, (usize, i8)> {
-        let mut words = Vec::with_capacity(components.len().div_ceil(64));
-        // Build 64 components per word: the sign bits accumulate in a
-        // register instead of read-modify-write cycles through the vector.
-        for (word_idx, chunk) in components.chunks(64).enumerate() {
-            let mut word = 0u64;
-            for (bit, &c) in chunk.iter().enumerate() {
-                match c {
-                    1 => {}
-                    -1 => word |= 1u64 << bit,
-                    other => return Err((word_idx * 64 + bit, other)),
+        // Branch-free per 64-counter chunk: a sign mask and a zero mask,
+        // then the tie word fills the zero positions. Bits past a partial
+        // chunk are clear in both masks, so they stay clear.
+        counts
+            .chunks(64)
+            .enumerate()
+            .map(|(chunk_idx, chunk)| {
+                let (mut neg, mut zero) = (0u64, 0u64);
+                for (bit, &c) in chunk.iter().enumerate() {
+                    neg |= u64::from(c < 0) << bit;
+                    zero |= u64::from(c == 0) << bit;
                 }
-            }
-            words.push(word);
-        }
-        Ok(words)
+                neg | (zero & tie.word(chunk_idx))
+            })
+            .collect()
     }
 
     /// One query at a time: the reference the tiled SIMD kernels must
@@ -727,10 +670,9 @@ mod avx2 {
     use super::{Planes, TieWords, BLOCK_LANES, CHUNK_WORDS, MAX_PLANES};
     use core::arch::x86_64::{
         __m256i, _mm256_add_epi32, _mm256_add_epi64, _mm256_add_epi8, _mm256_and_si256,
-        _mm256_andnot_si256, _mm256_castsi256_ps, _mm256_cmpeq_epi32, _mm256_cmpeq_epi8,
-        _mm256_cmpgt_epi32, _mm256_cmpgt_epi64, _mm256_extract_epi64, _mm256_loadu_si256,
-        _mm256_maskload_epi64, _mm256_movemask_epi8, _mm256_movemask_ps, _mm256_or_si256,
-        _mm256_sad_epu8, _mm256_set1_epi32, _mm256_set1_epi64x, _mm256_set1_epi8,
+        _mm256_andnot_si256, _mm256_castsi256_ps, _mm256_cmpeq_epi32, _mm256_cmpgt_epi32,
+        _mm256_cmpgt_epi64, _mm256_loadu_si256, _mm256_maskload_epi64, _mm256_movemask_ps,
+        _mm256_or_si256, _mm256_sad_epu8, _mm256_set1_epi32, _mm256_set1_epi64x, _mm256_set1_epi8,
         _mm256_setr_epi32, _mm256_setr_epi64x, _mm256_setr_epi8, _mm256_setzero_si256,
         _mm256_shuffle_epi8, _mm256_srli_epi16, _mm256_storeu_si256, _mm256_sub_epi32,
         _mm256_xor_si256,
@@ -755,90 +697,6 @@ mod avx2 {
             _mm256_shuffle_epi8(lookup, hi),
         );
         _mm256_sad_epu8(counts, _mm256_setzero_si256())
-    }
-
-    /// Sums the four u64 lanes of an accumulator vector.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn hsum256(v: __m256i) -> u64 {
-        let a = _mm256_extract_epi64::<0>(v) as u64;
-        let b = _mm256_extract_epi64::<1>(v) as u64;
-        let c = _mm256_extract_epi64::<2>(v) as u64;
-        let d = _mm256_extract_epi64::<3>(v) as u64;
-        a.wrapping_add(b).wrapping_add(c).wrapping_add(d)
-    }
-
-    /// # Safety
-    ///
-    /// The caller must have verified at runtime that the CPU supports
-    /// AVX2 and POPCNT, and `b` must be at least as long as `a`.
-    #[target_feature(enable = "avx2,popcnt")]
-    pub unsafe fn hamming(a: &[u64], b: &[u64]) -> u64 {
-        let n = a.len();
-        let vectors = n / 4;
-        let mut acc = _mm256_setzero_si256();
-        for i in 0..vectors {
-            // SAFETY: `4 * i + 3 < n` holds for every `i < n / 4`, so
-            // both unaligned 4-word loads stay inside the slices.
-            let (va, vb) = unsafe {
-                (
-                    _mm256_loadu_si256(a.as_ptr().add(4 * i).cast()),
-                    _mm256_loadu_si256(b.as_ptr().add(4 * i).cast()),
-                )
-            };
-            acc = _mm256_add_epi64(acc, popcnt256(_mm256_xor_si256(va, vb)));
-        }
-        let mut total = hsum256(acc);
-        for i in vectors * 4..n {
-            total += u64::from((a[i] ^ b[i]).count_ones());
-        }
-        total
-    }
-
-    /// # Safety
-    ///
-    /// The caller must have verified at runtime that the CPU supports
-    /// AVX2 and POPCNT.
-    #[target_feature(enable = "avx2,popcnt")]
-    pub unsafe fn popcount(words: &[u64]) -> u64 {
-        let n = words.len();
-        let vectors = n / 4;
-        let mut acc = _mm256_setzero_si256();
-        for i in 0..vectors {
-            // SAFETY: `4 * i + 3 < n` holds for every `i < n / 4`, so
-            // the unaligned 4-word load stays inside the slice.
-            let v = unsafe { _mm256_loadu_si256(words.as_ptr().add(4 * i).cast()) };
-            acc = _mm256_add_epi64(acc, popcnt256(v));
-        }
-        let mut total = hsum256(acc);
-        for &w in &words[vectors * 4..] {
-            total += u64::from(w.count_ones());
-        }
-        total
-    }
-
-    /// # Safety
-    ///
-    /// The caller must have verified at runtime that the CPU supports
-    /// AVX2, and `src` must be at least as long as `dst`.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn xor_assign(dst: &mut [u64], src: &[u64]) {
-        let n = dst.len();
-        let vectors = n / 4;
-        for i in 0..vectors {
-            // SAFETY: `4 * i + 3 < n` holds for every `i < n / 4`, so
-            // the loads and the store stay inside their slices; `dst`
-            // and `src` are distinct borrows, so the store cannot alias
-            // the `src` load.
-            unsafe {
-                let d = _mm256_loadu_si256(dst.as_ptr().add(4 * i).cast());
-                let s = _mm256_loadu_si256(src.as_ptr().add(4 * i).cast());
-                _mm256_storeu_si256(dst.as_mut_ptr().add(4 * i).cast(), _mm256_xor_si256(d, s));
-            }
-        }
-        for i in vectors * 4..n {
-            dst[i] ^= src[i];
-        }
     }
 
     /// Expands bits `8*group..8*group+8` of `word` into an 8×i32 all-ones
@@ -921,46 +779,6 @@ mod avx2 {
             words.extend(super::scalar::threshold(&counts[full * 64..], tail_tie));
         }
         words
-    }
-
-    /// # Safety
-    ///
-    /// The caller must have verified at runtime that the CPU supports
-    /// AVX2 and POPCNT.
-    #[target_feature(enable = "avx2,popcnt")]
-    pub unsafe fn pack_components(components: &[i8]) -> Result<Vec<u64>, (usize, i8)> {
-        let mut words = Vec::with_capacity(components.len().div_ceil(64));
-        let full = components.len() / 64;
-        let minus = _mm256_set1_epi8(-1);
-        let plus = _mm256_set1_epi8(1);
-        for word_idx in 0..full {
-            let mut word = 0u64;
-            for half in 0..2 {
-                // SAFETY: `word_idx * 64 + 32 * half + 31 < 64 * full
-                // <= components.len()`, so the 32-byte load stays
-                // inside `components`.
-                let v = unsafe {
-                    _mm256_loadu_si256(components.as_ptr().add(word_idx * 64 + 32 * half).cast())
-                };
-                let neg = _mm256_cmpeq_epi8(v, minus);
-                let pos = _mm256_cmpeq_epi8(v, plus);
-                let valid = _mm256_movemask_epi8(_mm256_or_si256(neg, pos));
-                if valid != -1i32 {
-                    let offset = word_idx * 64 + 32 * half + (!valid).trailing_zeros() as usize;
-                    return Err((offset, components[offset]));
-                }
-                let bits = _mm256_movemask_epi8(neg) as u32 as u64;
-                word |= bits << (32 * half);
-            }
-            words.push(word);
-        }
-        if full * 64 < components.len() {
-            match super::scalar::pack_components(&components[full * 64..]) {
-                Ok(tail) => words.extend(tail),
-                Err((index, value)) => return Err((full * 64 + index, value)),
-            }
-        }
-        Ok(words)
     }
 
     /// # Safety
@@ -1416,7 +1234,7 @@ mod tests {
         for n in [0usize, 1, 15, 16, 17, 31, 32, 33, 48, 100, 157] {
             let a = words(n, 0xA11CE ^ n as u64);
             let naive: u64 = a.iter().map(|w| u64::from(w.count_ones())).sum();
-            assert_eq!(Backend::scalar().popcount(&a), naive, "n={n}");
+            assert_eq!(popcount(&a), naive, "n={n}");
         }
     }
 
@@ -1430,35 +1248,7 @@ mod tests {
                 .zip(&b)
                 .map(|(x, y)| u64::from((x ^ y).count_ones()))
                 .sum();
-            assert_eq!(Backend::scalar().hamming(&a, &b), naive, "n={n}");
-        }
-    }
-
-    #[test]
-    fn every_backend_agrees_on_core_kernels() {
-        let reference = Backend::scalar();
-        for backend in Backend::available() {
-            for n in [0usize, 1, 3, 4, 5, 16, 31, 157, 1563] {
-                let a = words(n, 7 ^ n as u64);
-                let b = words(n, 9 ^ n as u64);
-                assert_eq!(
-                    backend.hamming(&a, &b),
-                    reference.hamming(&a, &b),
-                    "{} hamming n={n}",
-                    backend.name()
-                );
-                assert_eq!(
-                    backend.popcount(&a),
-                    reference.popcount(&a),
-                    "{} popcount n={n}",
-                    backend.name()
-                );
-                let mut x = a.clone();
-                let mut y = a.clone();
-                backend.xor_assign(&mut x, &b);
-                reference.xor_assign(&mut y, &b);
-                assert_eq!(x, y, "{} xor n={n}", backend.name());
-            }
+            assert_eq!(hamming(&a, &b), naive, "n={n}");
         }
     }
 
@@ -1502,26 +1292,50 @@ mod tests {
     }
 
     #[test]
-    fn pack_components_reports_first_invalid_index() {
-        for backend in Backend::available() {
-            let mut comps = vec![1i8; 130];
-            comps[67] = -1;
-            let packed = backend.pack_components(&comps).expect("valid input");
-            assert_eq!(packed[1] & (1 << 3), 1 << 3, "{}", backend.name());
-            comps[100] = 0;
-            comps[120] = 7;
-            assert_eq!(
-                backend.pack_components(&comps),
-                Err((100, 0)),
-                "{}",
-                backend.name()
-            );
+    fn scalar_threshold_matches_per_counter_reference() {
+        for dim in [1usize, 63, 64, 65, 127, 128, 10_000] {
+            // Negative, zero and positive counters in every chunk.
+            let counts: Vec<i32> = (0..dim).map(|i| (i as i32 * 7 % 5) - 2).collect();
+            let pattern = words(dim.div_ceil(64), 0x7AE ^ dim as u64);
+            for tie in [
+                TieWords::Constant(0),
+                TieWords::Constant(!0),
+                TieWords::Pattern(&pattern),
+            ] {
+                let got = Backend::scalar().threshold(&counts, tie);
+                assert_eq!(got.len(), dim.div_ceil(64), "dim={dim}");
+                for (i, &c) in counts.iter().enumerate() {
+                    let tie_bit = (tie.word(i / 64) >> (i % 64)) & 1 == 1;
+                    let expected = c < 0 || (c == 0 && tie_bit);
+                    let bit = (got[i / 64] >> (i % 64)) & 1 == 1;
+                    assert_eq!(bit, expected, "dim={dim} counter {i} = {c}, {tie:?}");
+                }
+                if dim % 64 != 0 {
+                    assert_eq!(got[dim / 64] >> (dim % 64), 0, "tail bits, dim={dim}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn force_scalar_parses_off_words() {
+        for off in [
+            None,
+            Some(""),
+            Some("0"),
+            Some("false"),
+            Some(" OFF "),
+            Some("False"),
+        ] {
+            assert!(!forces_scalar(off), "{off:?}");
+        }
+        for on in [Some("1"), Some("true"), Some(" yes "), Some("on")] {
+            assert!(forces_scalar(on), "{on:?}");
         }
     }
 
     #[test]
     fn hamming_tile_matches_per_lane_hamming() {
-        let reference = Backend::scalar();
         for backend in Backend::available() {
             for nwords in [0usize, 1, 2, 157] {
                 let block = words(nwords * BLOCK_LANES, 6);
@@ -1538,7 +1352,7 @@ mod tests {
                                 (0..nwords).map(|w| block[w * BLOCK_LANES + lane]).collect();
                             assert_eq!(
                                 acc[q][lane],
-                                1 + reference.hamming(query, &lane_words),
+                                1 + hamming(query, &lane_words),
                                 "{} query {q} of {tile}, lane {lane}, nwords {nwords}",
                                 backend.name()
                             );

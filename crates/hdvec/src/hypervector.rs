@@ -1,6 +1,6 @@
 //! The bit-packed bipolar hypervector type.
 
-use crate::backend::Backend;
+use crate::backend;
 use crate::HdvError;
 use prng::{SplitMix64, WordRng};
 
@@ -119,11 +119,23 @@ impl Hypervector {
     pub fn from_components(components: &[i8]) -> Result<Self, HdvError> {
         Self::check_dim(components.len())?;
         let dim = components.len();
-        // Sign packing runs on the dispatched backend (64 components per
-        // word scalar, 32 per compare+movemask on AVX2).
-        let words = Backend::active()
-            .pack_components(components)
-            .map_err(|(index, value)| HdvError::InvalidComponent { index, value })?;
+        // 64 components per word: the sign bits accumulate in a register
+        // instead of read-modify-write cycles through the vector.
+        let mut words = Vec::with_capacity(Self::word_count(dim));
+        for (word_idx, chunk) in components.chunks(64).enumerate() {
+            let mut word = 0u64;
+            for (bit, &value) in chunk.iter().enumerate() {
+                match value {
+                    1 => {}
+                    -1 => word |= 1u64 << bit,
+                    _ => {
+                        let index = word_idx * 64 + bit;
+                        return Err(HdvError::InvalidComponent { index, value });
+                    }
+                }
+            }
+            words.push(word);
+        }
         Ok(Self { dim, words })
     }
 
@@ -250,7 +262,9 @@ impl Hypervector {
             "cannot bind hypervectors of dimensions {} and {}",
             self.dim, other.dim
         );
-        Backend::active().xor_assign(&mut self.words, &other.words);
+        for (word, other) in self.words.iter_mut().zip(&other.words) {
+            *word ^= other;
+        }
     }
 
     /// Returns the element-wise negation (every +1 ↔ −1).
@@ -363,7 +377,7 @@ impl Hypervector {
     /// Number of −1 components (popcount of the packed words).
     #[must_use]
     pub fn count_negative(&self) -> usize {
-        Backend::active().popcount(&self.words) as usize
+        backend::popcount(&self.words) as usize
     }
 
     /// Hamming distance: the number of dimensions where the two vectors
@@ -379,10 +393,9 @@ impl Hypervector {
             "cannot compare hypervectors of dimensions {} and {}",
             self.dim, other.dim
         );
-        // Fused XOR+popcount on the dispatched backend (Harley–Seal
-        // scalar, or AVX2 on both SIMD backends). Inference decisions do
-        // not come through here: they use `ClassMemory`'s tiled scan.
-        Backend::active().hamming(&self.words, &other.words) as usize
+        // Harley–Seal XOR+popcount. Inference decisions do not come
+        // through here: they use `ClassMemory`'s dispatched tiled scan.
+        backend::hamming(&self.words, &other.words) as usize
     }
 
     /// Dot product over the ±1 components: `d − 2·hamming`.
@@ -669,6 +682,25 @@ mod tests {
         assert!(matches!(
             out,
             Err(HdvError::InvalidComponent { index: 1, value: 0 })
+        ));
+    }
+
+    #[test]
+    fn from_components_reports_first_invalid_index() {
+        let mut comps = vec![1i8; 130];
+        comps[67] = -1;
+        let v = Hypervector::from_components(&comps).expect("valid input");
+        assert_eq!(v.words()[1], 1 << 3);
+        // The first bad value sits past the first word; a later one must
+        // not be reported instead.
+        comps[100] = 0;
+        comps[120] = 7;
+        assert!(matches!(
+            Hypervector::from_components(&comps),
+            Err(HdvError::InvalidComponent {
+                index: 100,
+                value: 0
+            })
         ));
     }
 

@@ -22,13 +22,16 @@
 //!   a block of stored vectors; [`ClassMemory::nearest`] picks the
 //!   smallest Hamming distance, ties to the lowest index.
 //!
-//! The word-level kernels underneath (`XOR`+popcount, counter updates,
-//! thresholding, sign packing) are runtime-dispatched through
-//! [`Backend`]: an AVX2+POPCNT implementation is selected when the CPU
-//! supports it, a portable Harley–Seal scalar reference otherwise, and
-//! setting `GRAPHHD_FORCE_SCALAR=1` pins the scalar path for
-//! differential testing. All backends are bit-identical by contract and
-//! by test.
+//! The four word-level kernels the workloads spend their time in are
+//! runtime-dispatched through [`Backend`]: the fused edge bundle of
+//! graph encoding, the tiled class scan of inference, and the counter
+//! update and thresholding of the class accumulators. An AVX-512
+//! implementation (AVX-512F + VPOPCNTDQ) is selected when the CPU
+//! supports it, AVX2+POPCNT next, a portable scalar reference
+//! otherwise, and setting `GRAPHHD_FORCE_SCALAR=1` pins the scalar path
+//! for differential testing. All backends are bit-identical by contract
+//! and by test. Single-vector Hamming distance, popcount, binding and
+//! component packing are plain portable code.
 //!
 //! # Examples
 //!

@@ -1,10 +1,10 @@
 //! Differential pinning of the SIMD backends against the scalar
 //! reference.
 //!
-//! Every kernel ported to the runtime-dispatched backend — fused
-//! XOR+popcount `hamming`, `bind`, the accumulator counter update and
-//! threshold, component packing, and the blocked `ClassMemory` scoring —
-//! is property-checked **bit-identical** between `Backend::scalar()` and
+//! The four kernels `Backend` dispatches — the accumulator counter
+//! update (`add_weighted`) and `threshold`, the tiled class scan
+//! (`hamming_tile`) and the fused edge bundle (`bundle_edges`) — are
+//! property-checked **bit-identical** between `Backend::scalar()` and
 //! every SIMD backend in `Backend::available()` (AVX2, plus AVX-512 on
 //! hosts with VPOPCNTDQ; on a scalar-only host the comparisons
 //! degenerate to self-checks and the suite still passes). The class-scan
@@ -140,46 +140,6 @@ fn simd_backends() -> Vec<Backend> {
 
 proptest! {
     #[test]
-    fn hamming_and_popcount_match_scalar(
-        dim_idx in 0usize..DIMS.len(),
-        seed in any::<u64>(),
-    ) {
-        let dim = DIMS[dim_idx];
-        let a = random_words(dim, seed);
-        let b = random_words(dim, seed ^ 0xD1FF);
-        let reference = Backend::scalar();
-        for backend in simd_backends() {
-            prop_assert_eq!(
-                backend.hamming(&a, &b),
-                reference.hamming(&a, &b),
-                "{} hamming dim {}", backend.name(), dim
-            );
-            prop_assert_eq!(
-                backend.popcount(&a),
-                reference.popcount(&a),
-                "{} popcount dim {}", backend.name(), dim
-            );
-        }
-    }
-
-    #[test]
-    fn bind_matches_scalar(
-        dim_idx in 0usize..DIMS.len(),
-        seed in any::<u64>(),
-    ) {
-        let dim = DIMS[dim_idx];
-        let a = random_words(dim, seed);
-        let b = random_words(dim, seed ^ 0xB1D);
-        let mut expected = a.clone();
-        Backend::scalar().xor_assign(&mut expected, &b);
-        for backend in simd_backends() {
-            let mut got = a.clone();
-            backend.xor_assign(&mut got, &b);
-            prop_assert_eq!(&got, &expected, "{} xor dim {}", backend.name(), dim);
-        }
-    }
-
-    #[test]
     fn add_weighted_matches_scalar(
         dim_idx in 0usize..DIMS.len(),
         seed in any::<u64>(),
@@ -222,29 +182,6 @@ proptest! {
                     "{} threshold dim {}", backend.name(), dim
                 );
             }
-        }
-    }
-
-    #[test]
-    fn pack_components_matches_scalar(
-        dim_idx in 0usize..DIMS.len(),
-        seed in any::<u64>(),
-        corrupt in any::<bool>(),
-        pos in any::<u16>(),
-        value in any::<i8>(),
-    ) {
-        let dim = DIMS[dim_idx];
-        let mut comps = random_vector(dim, seed).to_components();
-        if corrupt {
-            comps[pos as usize % dim] = value;
-        }
-        let expected = Backend::scalar().pack_components(&comps);
-        for backend in simd_backends() {
-            prop_assert_eq!(
-                backend.pack_components(&comps),
-                expected.clone(),
-                "{} pack dim {}", backend.name(), dim
-            );
         }
     }
 
@@ -304,13 +241,7 @@ proptest! {
     ) {
         let dim = DIMS[dim_idx];
         let a = random_vector(dim, seed);
-        let b = random_vector(dim, seed ^ 0xAB);
         let scalar = Backend::scalar();
-        prop_assert_eq!(
-            a.hamming(&b) as u64,
-            scalar.hamming(a.words(), b.words())
-        );
-        prop_assert_eq!(a.count_negative() as u64, scalar.popcount(a.words()));
         let mut acc = Accumulator::new(dim).expect("non-zero dimension");
         acc.add_weighted(&a, weight);
         let mut expected_counts = vec![0i32; dim];

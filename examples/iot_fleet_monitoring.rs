@@ -38,7 +38,7 @@ fn batch(rng: &mut Xoshiro256PlusPlus, size: usize) -> (Vec<Graph>, Vec<u32>) {
 }
 
 fn accuracy(model: &GraphHdModel, graphs: &[Graph], labels: &[u32]) -> f64 {
-    let predictions = model.predict_batch(graphs);
+    let predictions = model.predict_all(graphs);
     predictions
         .iter()
         .zip(labels)

@@ -168,8 +168,8 @@ proptest! {
         prop_assert_eq!(restored.class_vectors(), model.class_vectors());
         let probes: Vec<Graph> = (4..14).map(graphcore::generate::cycle).collect();
         prop_assert_eq!(
-            restored.predict_batch(&probes),
-            model.predict_batch(&probes),
+            restored.predict_all(&probes),
+            model.predict_all(&probes),
             "dim {}", dim
         );
     }
