@@ -1,11 +1,12 @@
 //! Micro-benchmarks for GraphHD's encoding path (paper Section IV cost):
 //! PageRank and full graph encoding versus graph size on the Fig. 4
-//! Erdős–Rényi workload (p = 0.05), `encode` on a DD-sized graph, and
-//! the fused edge-bundle kernel on every backend the CPU supports.
+//! Erdős–Rényi workload (p = 0.05), a DD-sized graph under every encoder
+//! kind and under `encode_labeled`, and the fused edge-bundle kernel on
+//! every backend the CPU supports.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use graphcore::{generate, pagerank, PageRankConfig};
-use graphhd::{GraphEncoder, GraphHdConfig};
+use graphhd::{EncoderKind, GraphEncoder, GraphHdConfig};
 use hdvec::backend::{Backend, TieWords};
 use prng::{SplitMix64, WordRng, Xoshiro256PlusPlus};
 use std::hint::black_box;
@@ -38,6 +39,31 @@ fn bench_encoding(c: &mut Criterion) {
         &dd,
         |bencher, graph| {
             bencher.iter(|| encoder.encode(black_box(graph)));
+        },
+    );
+    // The other kinds share the row table: vertex similarity adds a
+    // level row and the permuted rows, edge weighting the vote counts.
+    for kind in [
+        EncoderKind::vertex_similarity(),
+        EncoderKind::edge_weighted(),
+    ] {
+        let config = GraphHdConfig::builder().with_encoder(kind).build();
+        let encoder = GraphEncoder::new(config.expect("valid config")).expect("valid config");
+        group.bench_with_input(
+            BenchmarkId::new(format!("encode_dd_sized_{}", kind.name()), dd.edge_count()),
+            &dd,
+            |bencher, graph| {
+                bencher.iter(|| encoder.encode(black_box(graph)));
+            },
+        );
+    }
+    // Centrality rows with a label row bound in, over 8 label values.
+    let labels: Vec<u32> = (0..dd.vertex_count() as u32).map(|v| v % 8).collect();
+    group.bench_with_input(
+        BenchmarkId::new("encode_labeled_dd_sized", dd.edge_count()),
+        &dd,
+        |bencher, graph| {
+            bencher.iter(|| encoder.encode_labeled(black_box(graph), &labels));
         },
     );
     group.finish();

@@ -5,16 +5,17 @@
 //! bundle the bound edges by majority. The kinds differ only in the
 //! inputs to that recipe — the vertex hypervector, the orientation of
 //! the bind, and the edge's vote weight — and
-//! [`LabeledGraphEncoder`](crate::labeled::LabeledGraphEncoder) reuses
-//! it with label-bound vertex hypervectors.
+//! [`GraphEncoder::encode_labeled`] also binds a label hypervector into
+//! each vertex's.
 //!
-//! [`GraphEncoder::encode`] bundles with the fused
-//! [`hdvec::bundle_edges`] kernel: the vertex hypervectors go into a
-//! per-graph row table, and the kernel binds, counts and thresholds
-//! every edge 512 bits at a time without building per-dimension
-//! counters. [`GraphEncoder::encode_to_accumulator`] keeps the integer
-//! path — each bound edge added to an [`Accumulator`] — as the reference
-//! the fused path is tested bit-identical against.
+//! One private builder writes every vertex hypervector in place into a
+//! dense per-graph row table: the vertex's basis words, then the kind's
+//! level row and the label row XORed in. [`GraphEncoder::encode`] hands
+//! the table to the fused [`hdvec::bundle_edges`] kernel, which binds,
+//! counts and thresholds every edge 512 bits at a time without building
+//! per-dimension counters. [`GraphEncoder::encode_to_accumulator`] adds
+//! the same table's bound rows to an [`Accumulator`], the integer
+//! reference the fused path is tested bit-identical against.
 
 use crate::{CentralityKind, EncoderKind, Error, GraphHdConfig};
 use graphcore::{degree_centrality, pagerank_ranks, ranks_by_score, similarity, Graph};
@@ -26,8 +27,11 @@ use std::sync::Arc;
 
 /// Seed stream for the level memory of the vertex-similarity kind,
 /// independent from the basis item memory (which uses the config seed
-/// directly) and from the label memory of [`crate::labeled`].
+/// directly) and from the label memory.
 const LEVEL_SEED_STREAM: u64 = 0x1E_5E1;
+
+/// Seed stream for the label memory of [`GraphEncoder::encode_labeled`].
+const LABEL_SEED_STREAM: u64 = 0x1A_BE1;
 
 /// Encodes graphs into hypervectors with the recipe the config's
 /// [`EncoderKind`] selects. Under the default [`EncoderKind::Centrality`]
@@ -58,6 +62,8 @@ const LEVEL_SEED_STREAM: u64 = 0x1E_5E1;
 pub struct GraphEncoder {
     config: GraphHdConfig,
     memory: ItemMemory,
+    /// The vertex-label basis of [`encode_labeled`](Self::encode_labeled).
+    labels: ItemMemory,
     /// The similarity level memory, built only for
     /// [`EncoderKind::VertexSimilarity`] (shared by clones).
     levels: Option<Arc<LevelMemory>>,
@@ -91,6 +97,7 @@ impl GraphEncoder {
         };
         Ok(Self {
             memory: ItemMemory::new(config.dim, config.seed)?,
+            labels: ItemMemory::new(config.dim, mix_seed(config.seed, LABEL_SEED_STREAM))?,
             levels,
             config,
             pool: PoolHandle::Global,
@@ -128,10 +135,9 @@ impl GraphEncoder {
     ///
     /// Rank 0 is the most central vertex; ties are broken by vertex id,
     /// the deterministic convention adopted suite-wide. This ranking is
-    /// the centrality one whatever the encoder kind — the centrality and
-    /// edge-weighted kinds encode with it, and it backs the
-    /// kind-agnostic [`labeled`](crate::labeled) extension and the
-    /// centrality ablations.
+    /// the centrality one whatever the encoder kind: the centrality and
+    /// edge-weighted kinds encode with it, labeled or not, and it backs
+    /// the centrality ablations.
     #[must_use]
     pub fn vertex_ranks(&self, graph: &Graph) -> Vec<u32> {
         match self.config.centrality {
@@ -155,7 +161,9 @@ impl GraphEncoder {
     ///   H_level(quantize(score))`, and each edge binds its lower-ranked
     ///   endpoint with a one-step permutation of the higher-ranked one
     ///   (without it, endpoints on the same level would cancel their
-    ///   level components, since `x ⊗ x` is the identity);
+    ///   level components, since `x ⊗ x` is the identity; rank order,
+    ///   unlike vertex id, is topology-derived, so the encoding stays
+    ///   isomorphism-invariant);
     /// - **edge weighted** — centrality vertex hypervectors, each edge
     ///   voting `1 + min(common_neighbors, weight_cap − 1)` times.
     ///
@@ -166,109 +174,16 @@ impl GraphEncoder {
     /// [`encode`]: Self::encode
     #[must_use]
     pub fn encode_to_accumulator(&self, graph: &Graph) -> Accumulator {
-        self.with_recipe(graph, |recipe| self.accumulate_edges(graph, recipe))
-    }
-
-    /// Runs `bundle` on the edge recipe of the config's [`EncoderKind`]
-    /// (see [`encode_to_accumulator`](Self::encode_to_accumulator)).
-    fn with_recipe<R>(&self, graph: &Graph, bundle: impl FnOnce(EdgeRecipe<'_>) -> R) -> R {
-        match self.config.encoder {
-            EncoderKind::Centrality | EncoderKind::EdgeWeighted { .. } => {
-                let ranks = self.vertex_ranks(graph);
-                bundle(EdgeRecipe {
-                    vertex: &|v| self.rank_hypervector(ranks[v]),
-                    orient_by: None,
-                    weight_cap: match self.config.encoder {
-                        EncoderKind::EdgeWeighted { weight_cap } => Some(weight_cap),
-                        _ => None,
-                    },
-                })
-            }
-            EncoderKind::VertexSimilarity { .. } => {
-                let levels = self
-                    .levels
-                    .as_deref()
-                    .expect("level memory built at construction for vertex similarity");
-                let scores = similarity::neighborhood_similarity(graph);
-                let ranks = ranks_by_score(&scores);
-                bundle(EdgeRecipe {
-                    vertex: &|v| {
-                        let mut hv = self.rank_hypervector(ranks[v]);
-                        hv.bind_assign(levels.hypervector(levels.quantize(scores[v])));
-                        hv
-                    },
-                    orient_by: Some(&ranks),
-                    weight_cap: None,
-                })
-            }
-        }
-    }
-
-    /// The basis hypervector of a vertex rank.
-    pub(crate) fn rank_hypervector(&self, rank: u32) -> Hypervector {
-        self.memory.hypervector(u64::from(rank))
-    }
-
-    /// The integer reference bundle: each bound edge hypervector added
-    /// to an [`Accumulator`] with its votes as the weight. Vertex
-    /// hypervectors are built once per vertex and role.
-    fn accumulate_edges(&self, graph: &Graph, recipe: EdgeRecipe<'_>) -> Accumulator {
-        let dim = self.config.dim;
-        let n = graph.vertex_count();
+        let (dim, stride) = (self.config.dim, self.config.dim.div_ceil(64));
+        let (rows, edges) = self.edge_table(graph, None);
+        let row = |r: u32| &rows[r as usize * stride..][..stride];
         let mut acc = Accumulator::new(dim).expect("dimension validated at construction");
-        let mut cache: Vec<Option<Hypervector>> = vec![None; n];
-        let mut permuted: Vec<Option<Hypervector>> = vec![None; n];
-        let mut edge = Hypervector::positive(dim).expect("dimension validated at construction");
-        for (a, b, votes) in recipe.edges(graph) {
-            edge.clone_from(cache[a].get_or_insert_with(|| (recipe.vertex)(a)));
-            let second = if recipe.orient_by.is_some() {
-                permuted[b].get_or_insert_with(|| (recipe.vertex)(b).permute(1))
-            } else {
-                cache[b].get_or_insert_with(|| (recipe.vertex)(b))
-            };
-            edge.bind_assign(second);
+        for (a, b, votes) in edges {
+            let bound = row(a).iter().zip(row(b)).map(|(x, y)| x ^ y).collect();
+            let edge = Hypervector::from_words(dim, bound).expect("bound rows keep the tail clear");
             acc.add_weighted(&edge, votes as i32);
         }
         acc
-    }
-
-    /// The fused bundle behind [`encode`](Self::encode): gathers each
-    /// vertex hypervector once per role into a per-graph row table, then
-    /// [`hdvec::bundle_edges`] binds, counts and thresholds the edges 512
-    /// bits at a time into `out`, without per-dimension counters.
-    /// Bit-identical to thresholding
-    /// [`accumulate_edges`](Self::accumulate_edges). The tables and the
-    /// edge list live only for the call; `out`, allocated by the caller
-    /// before them, outlives them (see [`encode`](Self::encode)).
-    pub(crate) fn bundle_edges(
-        &self,
-        graph: &Graph,
-        recipe: EdgeRecipe<'_>,
-        out: &mut Hypervector,
-    ) {
-        let n = graph.vertex_count();
-        let stride = self.config.dim.div_ceil(64);
-        let mut first = Rows::new(n, stride);
-        // The second endpoint of an oriented edge takes the permuted
-        // vertex hypervector, so it gets a table of its own; a symmetric
-        // bind reads both endpoints from one table.
-        let mut second = Rows::new(if recipe.orient_by.is_some() { n } else { 0 }, stride);
-        let mut edges = Vec::with_capacity(graph.edge_count());
-        for (a, b, votes) in recipe.edges(graph) {
-            let row_a = first.row(a, || (recipe.vertex)(a));
-            let row_b = if recipe.orient_by.is_some() {
-                second.row(b, || (recipe.vertex)(b).permute(1))
-            } else {
-                first.row(b, || (recipe.vertex)(b))
-            };
-            edges.push((row_a, row_b, votes as u32));
-        }
-        let hi = if recipe.orient_by.is_some() {
-            &second.words
-        } else {
-            &first.words
-        };
-        hdvec::bundle_edges(&first.words, hi, &edges, self.config.tie_break, out);
     }
 
     /// Encodes a graph into its bipolar graph hypervector — the `Enc_G`
@@ -278,20 +193,129 @@ impl GraphEncoder {
     #[must_use]
     pub fn encode(&self, graph: &Graph) -> Hypervector {
         crate::metrics::metrics().graphs_encoded.inc();
-        let mut encoding = self.blank_encoding();
-        self.with_recipe(graph, |recipe| {
-            self.bundle_edges(graph, recipe, &mut encoding)
-        });
+        self.bundle(graph, None)
+    }
+
+    /// Encodes a graph with per-vertex labels (future-work direction 2
+    /// of Section VII). Each vertex hypervector of the config's kind is
+    /// bound with a label hypervector from an independent item memory,
+    /// `Enc_v(v) ⊗ H_label(label(v))`, so two vertices must agree on
+    /// both topology role *and* label to share an encoding. For vertex
+    /// similarity the label is bound before the one-step permutation of
+    /// the oriented bind.
+    ///
+    /// Binding is self-inverse, so under a symmetric bind (centrality,
+    /// edge weighted) an edge whose endpoints share a label encodes as
+    /// without labels: uniform labels reduce to [`encode`](Self::encode).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::LabelCountMismatch`] if `labels.len()` differs
+    /// from the vertex count.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use graphhd::{GraphEncoder, GraphHdConfig};
+    /// use graphcore::generate;
+    ///
+    /// let encoder = GraphEncoder::new(GraphHdConfig::default())?;
+    /// let graph = generate::cycle(6);
+    /// let uniform = vec![0u32; 6];
+    /// let alternating: Vec<u32> = (0..6).map(|v| v % 2).collect();
+    /// let a = encoder.encode_labeled(&graph, &uniform)?;
+    /// let b = encoder.encode_labeled(&graph, &alternating)?;
+    /// // Same topology, different labels: encodings diverge.
+    /// assert!(a.cosine(&b) < 0.9);
+    /// # Ok::<(), graphhd::Error>(())
+    /// ```
+    pub fn encode_labeled(&self, graph: &Graph, labels: &[u32]) -> Result<Hypervector, Error> {
+        if labels.len() != graph.vertex_count() {
+            return Err(Error::LabelCountMismatch {
+                vertices: graph.vertex_count(),
+                labels: labels.len(),
+            });
+        }
+        Ok(self.bundle(graph, Some(labels)))
+    }
+
+    /// The fused bundle of the graph's
+    /// [`edge_table`](Self::edge_table). The encoding is allocated
+    /// before the table: it outlives the table, and one allocated after
+    /// it would sit between freed tables, leaving holes across a batch
+    /// that later allocations (such as class accumulators) cannot reuse.
+    fn bundle(&self, graph: &Graph, labels: Option<&[u32]>) -> Hypervector {
+        let mut encoding =
+            Hypervector::positive(self.config.dim).expect("dimension validated at construction");
+        let (rows, edges) = self.edge_table(graph, labels);
+        hdvec::bundle_edges(&rows, &rows, &edges, self.config.tie_break, &mut encoding);
         encoding
     }
 
-    /// A fresh output vector for [`bundle_edges`](Self::bundle_edges).
-    /// Callers allocate it before the per-graph tables: an encoding
-    /// outlives them, and one allocated after them would sit between
-    /// their freed blocks, leaving holes across a batch that later
-    /// allocations (such as class accumulators) cannot reuse.
-    pub(crate) fn blank_encoding(&self) -> Hypervector {
-        Hypervector::positive(self.config.dim).expect("dimension validated at construction")
+    /// Builds the graph's vertex row table (`dim.div_ceil(64)` packed
+    /// words per row) and its edges as `(first, second, votes)`: row
+    /// `first` bound with row `second`, `votes` times, under the config's
+    /// kind (see [`encode_to_accumulator`](Self::encode_to_accumulator)).
+    /// Row `v` gets vertex `v`'s basis words, then its level row and its
+    /// label row are XORed in, all in place. An oriented bind reads its
+    /// second endpoint from `n` more rows, row `n + v` holding row `v`
+    /// permuted by one.
+    fn edge_table(
+        &self,
+        graph: &Graph,
+        labels: Option<&[u32]>,
+    ) -> (Vec<u64>, Vec<(u32, u32, u32)>) {
+        let (n, stride) = (graph.vertex_count(), self.config.dim.div_ceil(64));
+        // Vertex similarity ranks by (and binds a level of) the score.
+        let scores = self
+            .levels
+            .as_ref()
+            .map(|_| similarity::neighborhood_similarity(graph));
+        let ranks = match &scores {
+            Some(scores) => ranks_by_score(scores),
+            None => self.vertex_ranks(graph),
+        };
+        let oriented = scores.is_some();
+        let mut rows = vec![0; if oriented { 2 * n } else { n } * stride];
+        let (plain, permuted) = rows.split_at_mut(n * stride);
+        for (v, row) in plain.chunks_exact_mut(stride).enumerate() {
+            self.memory.fill(u64::from(ranks[v]), row);
+            if let (Some(levels), Some(scores)) = (&self.levels, &scores) {
+                let level = levels.hypervector(levels.quantize(scores[v]));
+                row.iter_mut().zip(level.words()).for_each(|(w, l)| *w ^= l);
+            }
+            if let Some(labels) = labels {
+                self.labels.bind_into(u64::from(labels[v]), row);
+            }
+        }
+        // `permuted` is empty under a symmetric bind.
+        for (row, out) in plain
+            .chunks_exact(stride)
+            .zip(permuted.chunks_exact_mut(stride))
+        {
+            let hv = Hypervector::from_words(self.config.dim, row.to_vec());
+            out.copy_from_slice(hv.expect("tail bits clear").permute(1).words());
+        }
+        // The row of an oriented edge's second endpoint is permuted.
+        let second_offset = if oriented { n as u32 } else { 0 };
+        let weight_cap = match self.config.encoder {
+            EncoderKind::EdgeWeighted { weight_cap } => Some(weight_cap as usize),
+            _ => None,
+        };
+        // Reserved once: `edges()` gives no size hint, and a growing
+        // list would leave freed blocks behind across a batch.
+        let mut edges = Vec::with_capacity(graph.edge_count());
+        edges.extend(graph.edges().map(|(u, v)| {
+            // Ranks are a permutation, so the order is strict.
+            let (a, b) = if oriented && ranks[v as usize] < ranks[u as usize] {
+                (v, u)
+            } else {
+                (u, v)
+            };
+            let votes = weight_cap.map_or(1, |cap| 1 + graph.common_neighbors(u, v).min(cap - 1));
+            (a, second_offset + b, votes as u32)
+        }));
+        (rows, edges)
     }
 
     /// Encodes many graphs, parallelised on the encoder's pool. Accepts
@@ -307,70 +331,6 @@ impl GraphEncoder {
     pub fn encode_all<G: Borrow<Graph> + Sync>(&self, graphs: &[G]) -> Vec<Hypervector> {
         self.pool()
             .par_map(graphs, |graph| self.encode(graph.borrow()))
-    }
-}
-
-/// What an encoder kind feeds the edge-bundling loop.
-///
-/// `vertex` supplies each vertex's hypervector. With `orient_by` ranks,
-/// each edge binds its lower-ranked endpoint with a one-step permutation
-/// of the higher-ranked one (rank order, unlike vertex id, is
-/// topology-derived, so the encoding stays isomorphism-invariant);
-/// without, the bind is symmetric. With a `weight_cap`, each edge votes
-/// `1 + min(common_neighbors, weight_cap − 1)` times instead of once.
-pub(crate) struct EdgeRecipe<'a> {
-    pub(crate) vertex: &'a dyn Fn(usize) -> Hypervector,
-    pub(crate) orient_by: Option<&'a [u32]>,
-    pub(crate) weight_cap: Option<u32>,
-}
-
-impl EdgeRecipe<'_> {
-    /// Each edge of `graph` as `(first, second, votes)`: `first` is bound
-    /// with `second` (permuted when oriented), `votes` times.
-    fn edges<'g>(&'g self, graph: &'g Graph) -> impl Iterator<Item = (usize, usize, usize)> + 'g {
-        graph.edges().map(move |(u, v)| {
-            let (a, b) = (u as usize, v as usize);
-            // Ranks are a permutation, so the order is strict.
-            let (a, b) = match self.orient_by {
-                Some(ranks) if ranks[b] < ranks[a] => (b, a),
-                _ => (a, b),
-            };
-            let votes = self.weight_cap.map_or(1, |cap| {
-                1 + graph.common_neighbors(u, v).min(cap as usize - 1)
-            });
-            (a, b, votes)
-        })
-    }
-}
-
-/// A fused bundle's row table: the packed words of each vertex
-/// hypervector it needs, in order of first use.
-struct Rows {
-    words: Vec<u64>,
-    /// Vertex → row, `None` until the vertex is first used.
-    index: Vec<Option<u32>>,
-    len: u32,
-}
-
-impl Rows {
-    /// An empty table for up to `vertices` rows of `stride` words. The
-    /// capacity is reserved once, so filling it never copies rows, and
-    /// only the rows written are touched.
-    fn new(vertices: usize, stride: usize) -> Self {
-        Self {
-            words: Vec::with_capacity(vertices * stride),
-            index: vec![None; vertices],
-            len: 0,
-        }
-    }
-
-    /// The row of vertex `v`, appending `make()` on its first use.
-    fn row(&mut self, v: usize, make: impl FnOnce() -> Hypervector) -> u32 {
-        *self.index[v].get_or_insert_with(|| {
-            self.words.extend_from_slice(make().words());
-            self.len += 1;
-            self.len - 1
-        })
     }
 }
 
@@ -683,6 +643,85 @@ mod tests {
             assert!(encoder_with(kind, 128)
                 .encode_to_accumulator(&graphcore::Graph::empty(4))
                 .is_empty());
+        }
+    }
+
+    #[test]
+    fn validates_label_count() {
+        let e = encoder(4096);
+        let g = generate::path(4);
+        assert_eq!(
+            e.encode_labeled(&g, &[0, 1]).unwrap_err(),
+            Error::LabelCountMismatch {
+                vertices: 4,
+                labels: 2
+            }
+        );
+    }
+
+    #[test]
+    fn deterministic_and_label_sensitive() {
+        let e = encoder(4096);
+        let g = generate::cycle(8);
+        let l1 = vec![0u32; 8];
+        let l2: Vec<u32> = (0..8u32).map(|v| v % 2).collect();
+        assert_eq!(
+            e.encode_labeled(&g, &l1).unwrap(),
+            e.encode_labeled(&g, &l1).unwrap()
+        );
+        let a = e.encode_labeled(&g, &l1).unwrap();
+        let b = e.encode_labeled(&g, &l2).unwrap();
+        assert!(a.cosine(&b) < 0.9, "cosine {}", a.cosine(&b));
+    }
+
+    #[test]
+    fn uniform_labels_cancel_under_binding() {
+        // A known property of multiplicative binding: the edge encoding
+        // (r_u × l_u) × (r_v × l_v) reduces to r_u × r_v whenever
+        // l_u = l_v, because binding is self-inverse. Hence *uniform*
+        // labelings — any label value — collapse to the structural
+        // encoding; only label *variation along edges* is visible.
+        let e = encoder(4096);
+        let g = generate::cycle(6);
+        let structural = e.encode(&g);
+        let all_zero = e.encode_labeled(&g, &[0u32; 6]).unwrap();
+        let all_one = e.encode_labeled(&g, &[1u32; 6]).unwrap();
+        assert_eq!(all_zero, structural);
+        assert_eq!(all_one, structural);
+    }
+
+    #[test]
+    fn separates_label_patterns_in_a_model_setting() {
+        // Same topology (cycle), classes differ only in label pattern.
+        let e = encoder(4096);
+        let g = generate::cycle(10);
+        let uniform = vec![0u32; 10];
+        let alternating: Vec<u32> = (0..10u32).map(|v| v % 2).collect();
+        let enc_uniform = e.encode_labeled(&g, &uniform).unwrap();
+        let enc_alternating = e.encode_labeled(&g, &alternating).unwrap();
+        // A nearest-class-vector rule built from one example per class
+        // classifies both patterns correctly.
+        let query_u = e.encode_labeled(&g, &uniform).unwrap();
+        assert!(query_u.cosine(&enc_uniform) > query_u.cosine(&enc_alternating));
+    }
+
+    #[test]
+    fn uniform_labels_reduce_to_encode_only_under_a_symmetric_bind() {
+        // Under the oriented bind of vertex similarity an edge binds
+        // l ⊗ permute(l, 1), which is not the identity, so even uniform
+        // labels stay visible there.
+        let mut rng = Xoshiro256PlusPlus::seed_from_u64(5);
+        let random = generate::erdos_renyi(16, 0.3, &mut rng).expect("valid p");
+        for g in [generate::complete(7), generate::star(9), random] {
+            let uniform = vec![3u32; g.vertex_count()];
+            for kind in all_kinds() {
+                let e = encoder_with(kind, 1000);
+                let labeled = e
+                    .encode_labeled(&g, &uniform)
+                    .expect("one label per vertex");
+                let symmetric = !matches!(kind, EncoderKind::VertexSimilarity { .. });
+                assert_eq!(labeled == e.encode(&g), symmetric, "{kind:?}");
+            }
         }
     }
 }

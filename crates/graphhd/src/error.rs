@@ -34,6 +34,14 @@ pub enum Error {
         /// Declared class count.
         num_classes: usize,
     },
+    /// A labeled encoding got a label count other than the graph's
+    /// vertex count.
+    LabelCountMismatch {
+        /// Vertices in the graph.
+        vertices: usize,
+        /// Labels supplied.
+        labels: usize,
+    },
     /// `num_classes` was zero.
     ZeroClasses,
     /// The configured hypervector dimension was zero.
@@ -148,6 +156,9 @@ impl core::fmt::Display for Error {
                 f,
                 "label {label} at index {index} out of range for {num_classes} classes"
             ),
+            Error::LabelCountMismatch { vertices, labels } => {
+                write!(f, "graph has {vertices} vertices but {labels} labels")
+            }
             Error::ZeroClasses => write!(f, "need at least one class"),
             Error::ZeroDimension => write!(f, "hypervector dimension must be positive"),
             Error::ZeroPrototypes => write!(f, "need at least one prototype per class"),
@@ -221,6 +232,11 @@ mod tests {
             }
             .to_string(),
             Error::ZeroClasses.to_string(),
+            Error::LabelCountMismatch {
+                vertices: 4,
+                labels: 2,
+            }
+            .to_string(),
             Error::ZeroDimension.to_string(),
             Error::ZeroPrototypes.to_string(),
             Error::ZeroQueueCapacity.to_string(),

@@ -21,14 +21,15 @@
 //! Beyond the baseline, the crate implements the paper's future-work
 //! directions (Section VII): [`retrain`](model::GraphHdModel::retrain)ing,
 //! [`prototypes`] (multiple class-vectors per class), and
-//! [`labeled`] (vertex-label-aware encoding), plus [`noise`] utilities
-//! backing the robustness claims of Sections I–II. The encoding recipe
-//! is selected by [`EncoderKind`] on the config builder: the paper's
-//! centrality recipe, or the VS-Graph-style vertex-similarity and
-//! CiliaGraph-style edge-weighted variants. [`GraphEncoder`] matches on
-//! the kind and runs every variant through one edge-bundling loop; the
-//! kinds differ only in the vertex hypervector, the orientation of the
-//! edge bind, and the edge's vote weight.
+//! [`GraphEncoder::encode_labeled`] (vertex-label-aware encoding), plus
+//! [`noise`] utilities backing the robustness claims of Sections I–II.
+//! The encoding recipe is selected by [`EncoderKind`] on the config
+//! builder: the paper's centrality recipe, or the VS-Graph-style
+//! vertex-similarity and CiliaGraph-style edge-weighted variants.
+//! [`GraphEncoder`] matches on the kind and runs every variant through
+//! one edge-bundling loop; the kinds differ only in the vertex
+//! hypervector, the orientation of the edge bind, and the edge's vote
+//! weight.
 //!
 //! # Examples
 //!
@@ -62,7 +63,6 @@ mod classifier;
 mod config;
 mod encoder;
 mod error;
-pub mod labeled;
 pub mod metrics;
 mod model;
 pub mod noise;

@@ -500,10 +500,7 @@ impl GraphHdModel {
                 }
                 .into());
             }
-            let hv = Hypervector::from_fn(dim, |i| (words[i >> 6] >> (i & 63)) & 1 == 1)
-                .map_err(Error::from)?;
-            debug_assert_eq!(hv.words(), words);
-            class_vectors.push(hv);
+            class_vectors.push(Hypervector::from_words(dim, words).map_err(Error::from)?);
         }
 
         // Release the payload bound; the probe below must see the

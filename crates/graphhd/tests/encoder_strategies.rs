@@ -1,12 +1,14 @@
 //! Differential properties of the pluggable encoder strategies: every
 //! strategy is deterministic under a fixed seed, bit-identical across
-//! thread counts, and survives a snapshot round trip with its identity
-//! intact.
+//! thread counts, survives a snapshot round trip with its identity
+//! intact, and labels its vertices the way a hand-built integer
+//! reference does.
 
-use graphcore::{generate, Graph};
+use graphcore::{generate, ranks_by_score, similarity, Graph};
 use graphhd::{EncoderKind, GraphEncoder, GraphHdConfig, GraphHdModel};
+use hdvec::{Accumulator, Hypervector, ItemMemory, LevelMemory};
 use parallel::Pool;
-use prng::Xoshiro256PlusPlus;
+use prng::{mix_seed, Xoshiro256PlusPlus};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -32,13 +34,70 @@ fn arb_kind() -> impl Strategy<Value = EncoderKind> {
 }
 
 fn encoder(kind: EncoderKind, seed: u64) -> GraphEncoder {
+    encoder_at(kind, seed, 512)
+}
+
+fn encoder_at(kind: EncoderKind, seed: u64, dim: usize) -> GraphEncoder {
     let config = GraphHdConfig::builder()
-        .dim(512)
+        .dim(dim)
         .seed(seed)
         .with_encoder(kind)
         .build()
         .expect("valid config");
     GraphEncoder::new(config).expect("valid config")
+}
+
+/// `encode_labeled` re-stated from public primitives: per-vertex
+/// hypervectors `H_rank(rank) [⊗ H_level(score)] ⊗ H_label(label)` from
+/// the documented seed streams (level `0x1E_5E1`, label `0x1A_BE1`), each
+/// edge bound symmetrically or, for vertex similarity, lower rank with
+/// the higher one permuted by one, added `votes` times to an
+/// [`Accumulator`], then thresholded.
+fn labeled_reference(encoder: &GraphEncoder, graph: &Graph, labels: &[u32]) -> Hypervector {
+    let config = encoder.config();
+    let label_memory =
+        ItemMemory::new(config.dim, mix_seed(config.seed, 0x1A_BE1)).expect("valid dimension");
+    let (ranks, level_rows) = match config.encoder {
+        EncoderKind::VertexSimilarity { levels } => {
+            let scores = similarity::neighborhood_similarity(graph);
+            let memory =
+                LevelMemory::new(config.dim, levels as usize, mix_seed(config.seed, 0x1E_5E1))
+                    .expect("valid levels");
+            let rows = scores
+                .iter()
+                .map(|&score| memory.hypervector(memory.quantize(score)).clone())
+                .collect();
+            (ranks_by_score(&scores), Some(rows))
+        }
+        _ => (encoder.vertex_ranks(graph), None::<Vec<Hypervector>>),
+    };
+    let vertex: Vec<Hypervector> = (0..graph.vertex_count())
+        .map(|v| {
+            let mut hv = encoder.memory().hypervector(u64::from(ranks[v]));
+            if let Some(rows) = &level_rows {
+                hv.bind_assign(&rows[v]);
+            }
+            hv.bind_assign(&label_memory.hypervector(u64::from(labels[v])));
+            hv
+        })
+        .collect();
+    let mut reference = Accumulator::new(config.dim).expect("valid dimension");
+    for (u, v) in graph.edges() {
+        let (a, b) = (u as usize, v as usize);
+        let (edge, votes) = match config.encoder {
+            EncoderKind::Centrality => (vertex[a].bind(&vertex[b]), 1),
+            EncoderKind::VertexSimilarity { .. } => {
+                let (lo, hi) = if ranks[a] < ranks[b] { (a, b) } else { (b, a) };
+                (vertex[lo].bind(&vertex[hi].permute(1)), 1)
+            }
+            EncoderKind::EdgeWeighted { weight_cap } => {
+                let common = graph.common_neighbors(u, v).min(weight_cap as usize - 1);
+                (vertex[a].bind(&vertex[b]), 1 + common as i32)
+            }
+        };
+        reference.add_weighted(&edge, votes);
+    }
+    reference.to_hypervector(config.tie_break)
 }
 
 proptest! {
@@ -101,6 +160,33 @@ proptest! {
         for n in 5..15 {
             let g = generate::cycle(n);
             prop_assert_eq!(restored.predict(&g), model.predict(&g));
+        }
+    }
+}
+
+#[test]
+fn labeled_encodings_equal_the_hand_built_reference_for_every_kind() {
+    let mut rng = Xoshiro256PlusPlus::seed_from_u64(2024);
+    let graphs = [
+        generate::erdos_renyi(24, 0.3, &mut rng).expect("valid parameters"),
+        generate::erdos_renyi(40, 0.1, &mut rng).expect("valid parameters"),
+        generate::complete(7),
+        generate::star(9),
+        Graph::empty(5),
+    ];
+    for dim in [65, 1000, 10_000] {
+        for kind in KINDS {
+            let e = encoder_at(kind, 7, dim);
+            for g in &graphs {
+                let n = g.vertex_count() as u64;
+                let labels: Vec<u32> = (0..n).map(|v| (mix_seed(n, v) % 4) as u32).collect();
+                assert_eq!(
+                    e.encode_labeled(g, &labels).expect("one label per vertex"),
+                    labeled_reference(&e, g, &labels),
+                    "{} at dim {dim} on {n} vertices",
+                    kind.name()
+                );
+            }
         }
     }
 }

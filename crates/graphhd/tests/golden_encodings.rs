@@ -5,15 +5,14 @@
 //! and an FNV-1a hash of the accumulator counts at `dim = 1000` under
 //! the default seed. The hypervector rows pin an FNV-1a hash of the
 //! packed words `encode()` returns, at `dim = 1000` and at `dim =
-//! 10_000` (157 words, so the last 512-bit chunk is partial). The
-//! label-aware encoder only exposes its thresholded hypervector, so its
+//! 10_000` (157 words, so the last 512-bit chunk is partial).
+//! `encode_labeled` only exposes its thresholded hypervector, so its
 //! rows pin a hash of the packed hypervector words as well. A refactor
 //! of the encoding loop must leave every row unchanged; a deliberate
 //! change to an encoding recipe must update the table in the same
 //! commit.
 
 use graphcore::{generate, Graph};
-use graphhd::labeled::LabeledGraphEncoder;
 use graphhd::{EncoderKind, GraphEncoder, GraphHdConfig};
 use prng::Xoshiro256PlusPlus;
 
@@ -150,12 +149,14 @@ fn edge_weighted_encodings_are_pinned() {
 
 #[test]
 fn labeled_encodings_are_pinned() {
-    let encoder = LabeledGraphEncoder::new(config(EncoderKind::Centrality)).expect("valid config");
+    let encoder = GraphEncoder::new(config(EncoderKind::Centrality)).expect("valid config");
     let actual: Vec<u64> = graphs()
         .iter()
         .map(|(_, g)| {
             let labels: Vec<u32> = (0..g.vertex_count() as u32).map(|v| v % 3).collect();
-            let hv = encoder.encode(g, &labels).expect("one label per vertex");
+            let hv = encoder
+                .encode_labeled(g, &labels)
+                .expect("one label per vertex");
             words_hash(&hv)
         })
         .collect();

@@ -32,6 +32,15 @@ pub enum HdvError {
         /// The level count supplied.
         levels: usize,
     },
+    /// Packed words did not number `dim.div_ceil(64)`.
+    WordCount {
+        /// Words a hypervector of the requested dimension has.
+        expected: usize,
+        /// Words supplied.
+        found: usize,
+    },
+    /// Packed words set a bit beyond the dimension in the last word.
+    TailBits,
 }
 
 impl core::fmt::Display for HdvError {
@@ -48,6 +57,10 @@ impl core::fmt::Display for HdvError {
             HdvError::TooFewLevels { levels } => {
                 write!(f, "level memory needs at least 2 levels, got {levels}")
             }
+            HdvError::WordCount { expected, found } => {
+                write!(f, "expected {expected} packed words, got {found}")
+            }
+            HdvError::TailBits => write!(f, "packed words set bits beyond the dimension"),
         }
     }
 }
@@ -66,6 +79,12 @@ mod tests {
             HdvError::InvalidComponent { index: 2, value: 0 }.to_string(),
             HdvError::EmptyBundle.to_string(),
             HdvError::TooFewLevels { levels: 1 }.to_string(),
+            HdvError::WordCount {
+                expected: 2,
+                found: 1,
+            }
+            .to_string(),
+            HdvError::TailBits.to_string(),
         ];
         for m in msgs {
             assert!(!m.is_empty());

@@ -36,7 +36,7 @@ impl Hypervector {
     }
 
     /// Mask with ones at every valid bit position of the final word.
-    fn tail_mask(dim: usize) -> u64 {
+    pub(crate) fn tail_mask(dim: usize) -> u64 {
         match dim % 64 {
             0 => !0u64,
             r => (1u64 << r) - 1,
@@ -157,6 +157,30 @@ impl Hypervector {
                 }
             }
             words.push(word);
+        }
+        Ok(Self { dim, words })
+    }
+
+    /// Builds a hypervector from packed words in the layout of
+    /// [`words`](Self::words): bit `i % 64` of word `i / 64` set ⇔
+    /// component `i` is −1.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HdvError::ZeroDimension`] if `dim == 0`,
+    /// [`HdvError::WordCount`] unless there are `dim.div_ceil(64)` words,
+    /// and [`HdvError::TailBits`] if a bit beyond `dim` is set.
+    pub fn from_words(dim: usize, words: Vec<u64>) -> Result<Self, HdvError> {
+        Self::check_dim(dim)?;
+        let expected = Self::word_count(dim);
+        if words.len() != expected {
+            return Err(HdvError::WordCount {
+                expected,
+                found: words.len(),
+            });
+        }
+        if words[expected - 1] & !Self::tail_mask(dim) != 0 {
+            return Err(HdvError::TailBits);
         }
         Ok(Self { dim, words })
     }

@@ -1,7 +1,7 @@
 //! Deterministic basis ("item") hypervector memories.
 
 use crate::{HdvError, Hypervector};
-use prng::{mix_seed, Xoshiro256PlusPlus};
+use prng::{mix_seed, WordRng, Xoshiro256PlusPlus};
 
 /// A deterministic, conceptually infinite set of random basis hypervectors.
 ///
@@ -61,8 +61,40 @@ impl ItemMemory {
     /// Generates the basis hypervector for `index`.
     #[must_use]
     pub fn hypervector(&self, index: u64) -> Hypervector {
+        let mut words = vec![0; self.dim.div_ceil(64)];
+        self.fill(index, &mut words);
+        Hypervector::from_raw(self.dim, words)
+    }
+
+    /// Writes the packed words of [`hypervector(index)`](Self::hypervector)
+    /// into `row` in place, e.g. a row of a caller's vertex table.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `row` holds `dim.div_ceil(64)` words.
+    pub fn fill(&self, index: u64, row: &mut [u64]) {
+        self.apply(index, row, |word, basis| *word = basis);
+    }
+
+    /// Binds [`hypervector(index)`](Self::hypervector) into the packed
+    /// words of `row` in place (XOR), leaving the bits beyond `dim` clear.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `row` holds `dim.div_ceil(64)` words.
+    pub fn bind_into(&self, index: u64, row: &mut [u64]) {
+        self.apply(index, row, |word, basis| *word ^= basis);
+    }
+
+    /// Combines `index`'s basis words into `row` in stream order, then
+    /// clears the bits beyond `dim`.
+    fn apply(&self, index: u64, row: &mut [u64], op: impl Fn(&mut u64, u64)) {
+        assert_eq!(row.len(), self.dim.div_ceil(64), "row length in words");
         let mut rng = Xoshiro256PlusPlus::seed_from_u64(mix_seed(self.seed, index));
-        Hypervector::random(self.dim, &mut rng).expect("dimension already validated")
+        for word in row.iter_mut() {
+            op(word, rng.next_u64());
+        }
+        row[row.len() - 1] &= Hypervector::tail_mask(self.dim);
     }
 }
 

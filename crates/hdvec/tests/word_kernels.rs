@@ -8,8 +8,12 @@
 //! {1, 63, 64, 65, 127, 128, 100003} and the shift grid
 //! {0, 1, 63, 64, 65, dim−1, dim, dim+7}. Every case also asserts the
 //! storage invariant: bits beyond `dim` in the last word stay clear.
+//! The in-place row writers `ItemMemory::{fill, bind_into}` and the
+//! packed-word constructor `Hypervector::from_words` are checked against
+//! the allocating `hypervector` and `words` at the word-boundary
+//! dimensions {1, 63, 64, 65, 127, 128, 10000}.
 
-use hdvec::{Hypervector, ItemMemory};
+use hdvec::{HdvError, Hypervector, ItemMemory};
 use proptest::prelude::*;
 
 /// Word-boundary dimensions plus a large prime (157 words + 35-bit tail).
@@ -121,4 +125,69 @@ proptest! {
         let from_fn = Hypervector::from_fn(dim, |i| components[i] == -1).expect("non-zero dim");
         prop_assert_eq!(from_fn.words(), v.words());
     }
+}
+
+/// The word-boundary dimensions of the in-place row checks.
+const ROW_DIMS: [usize; 7] = [1, 63, 64, 65, 127, 128, 10_000];
+
+#[test]
+fn fill_and_bind_into_match_the_allocating_hypervector() {
+    for dim in ROW_DIMS {
+        let memory = ItemMemory::new(dim, 31).expect("non-zero dimension");
+        let words = dim.div_ceil(64);
+        for index in [0u64, 1, 7, u64::MAX] {
+            let expected = memory.hypervector(index);
+            // Pre-filled with ones, so every bit and the tail must be
+            // overwritten.
+            let mut row = vec![!0u64; words];
+            memory.fill(index, &mut row);
+            assert_eq!(row, expected.words(), "fill at dim {dim}, index {index}");
+
+            let base = random_vector(dim, index ^ 0x5EED);
+            let mut row = base.words().to_vec();
+            memory.bind_into(index, &mut row);
+            let bound = Hypervector::from_words(dim, row).expect("tail bits stay clear");
+            assert_eq!(bound, base.bind(&expected), "bind_into at dim {dim}");
+            assert!(tail_is_clear(&bound));
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "row length")]
+fn fill_rejects_a_row_of_the_wrong_length() {
+    let memory = ItemMemory::new(65, 1).expect("non-zero dimension");
+    memory.fill(0, &mut [0u64; 1]);
+}
+
+#[test]
+fn from_words_roundtrips_and_rejects_malformed_words() {
+    for dim in ROW_DIMS {
+        let v = random_vector(dim, dim as u64);
+        let rebuilt = Hypervector::from_words(dim, v.words().to_vec()).expect("valid words");
+        assert_eq!(rebuilt, v);
+        let words = dim.div_ceil(64);
+        for found in [words - 1, words + 1] {
+            assert_eq!(
+                Hypervector::from_words(dim, vec![0; found]),
+                Err(HdvError::WordCount {
+                    expected: words,
+                    found
+                }),
+                "dim {dim}"
+            );
+        }
+        let mut tail = v.words().to_vec();
+        tail[words - 1] |= 1 << 63;
+        let result = Hypervector::from_words(dim, tail);
+        if dim % 64 == 0 {
+            assert!(result.is_ok(), "dim {dim} has no tail bits");
+        } else {
+            assert_eq!(result, Err(HdvError::TailBits), "dim {dim}");
+        }
+    }
+    assert_eq!(
+        Hypervector::from_words(0, Vec::new()),
+        Err(HdvError::ZeroDimension)
+    );
 }

@@ -4,7 +4,6 @@
 use datasets::harness::{evaluate_cv, CvProtocol};
 use datasets::{surrogate, StratifiedKFold};
 use graphcore::Graph;
-use graphhd::labeled::LabeledGraphEncoder;
 use graphhd::prototypes::{MultiPrototypeModel, PrototypeConfig};
 use graphhd::{EncoderKind, GraphEncoder, GraphHdClassifier, GraphHdConfig, GraphHdModel};
 use hdvec::Accumulator;
@@ -158,15 +157,8 @@ fn encoder_strategy_ablation_on_surrogate_mutag() {
 #[test]
 fn label_aware_encoding_separates_label_patterns_topology_cannot() {
     // Two "datasets" share identical topology; only vertex labels differ.
-    // The structural encoder is blind to this; the labeled one is not.
-    let structural = GraphEncoder::new(
-        GraphHdConfig::builder()
-            .dim(4096)
-            .build()
-            .expect("valid dimension"),
-    )
-    .expect("valid");
-    let labeled = LabeledGraphEncoder::new(
+    // The structural encoding is blind to this; the labeled one is not.
+    let encoder = GraphEncoder::new(
         GraphHdConfig::builder()
             .dim(4096)
             .build()
@@ -177,16 +169,25 @@ fn label_aware_encoding_separates_label_patterns_topology_cannot() {
     let pattern_a: Vec<u32> = (0..12).map(|v| v % 2).collect(); // alternating
     let pattern_b: Vec<u32> = (0..12).map(|v| u32::from(v >= 6)).collect(); // halves
 
-    let s = structural.encode(&graph);
-    assert_eq!(s, structural.encode(&graph), "structure alone is fixed");
+    let s = encoder.encode(&graph);
+    assert_eq!(s, encoder.encode(&graph), "structure alone is fixed");
 
-    let a = labeled.encode(&graph, &pattern_a).expect("matching labels");
-    let b = labeled.encode(&graph, &pattern_b).expect("matching labels");
+    let a = encoder
+        .encode_labeled(&graph, &pattern_a)
+        .expect("matching labels");
+    let b = encoder
+        .encode_labeled(&graph, &pattern_b)
+        .expect("matching labels");
     assert!(
         a.cosine(&b) < 0.8,
         "label patterns should separate: cosine {}",
         a.cosine(&b)
     );
     // And each pattern is self-consistent.
-    assert_eq!(a, labeled.encode(&graph, &pattern_a).expect("matching"));
+    assert_eq!(
+        a,
+        encoder
+            .encode_labeled(&graph, &pattern_a)
+            .expect("matching")
+    );
 }
