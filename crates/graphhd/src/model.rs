@@ -26,12 +26,15 @@ impl RetrainReport {
 
 /// A trained GraphHD model: one class vector per class (Section III-B /
 /// Algorithm 1), with the underlying integer accumulators retained so the
-/// retraining extension can update them.
+/// retraining extension can update them. A model loaded from a snapshot
+/// builds its accumulators at its first [`retrain`](Self::retrain).
 ///
 /// A usage example lives in the [crate documentation](crate).
 #[derive(Debug, Clone)]
 pub struct GraphHdModel {
     encoder: GraphEncoder,
+    /// One training counter per class; empty until the first retrain on
+    /// a model loaded from class vectors.
     class_accumulators: Vec<Accumulator>,
     /// The single store of the trained class vectors, one word-interleaved
     /// lane per class, which every scan and decision runs on. Retraining
@@ -154,11 +157,11 @@ impl GraphHdModel {
     }
 
     /// Rebuilds a model from already-thresholded class vectors — the
-    /// snapshot load path. The integer accumulators restart from the
-    /// stored vectors (each counted once), so predictions are
-    /// bit-identical to the saved model while a subsequent
-    /// [`retrain`](Self::retrain) starts from ±1 counters rather than
-    /// the original training counts (snapshots store the deployable
+    /// snapshot load path. Predictions are bit-identical to the saved
+    /// model. It keeps no training counters until the first
+    /// [`retrain`](Self::retrain), which builds them from the class
+    /// vectors (each counted once): it starts from ±1 counters rather
+    /// than the original training counts (snapshots store the deployable
     /// artifact, not the training state).
     pub(crate) fn from_class_vectors(
         encoder: GraphEncoder,
@@ -168,24 +171,33 @@ impl GraphHdModel {
             return Err(Error::ZeroClasses);
         }
         let dim = encoder.config().dim;
-        let mut class_accumulators = Vec::with_capacity(class_vectors.len());
-        for hv in class_vectors {
-            if hv.dim() != dim {
-                return Err(Error::Hdv(hdvec::HdvError::DimensionMismatch {
-                    left: dim,
-                    right: hv.dim(),
-                }));
-            }
-            let mut acc = Accumulator::new(dim)?;
-            acc.add(hv);
-            class_accumulators.push(acc);
+        if let Some(hv) = class_vectors.iter().find(|hv| hv.dim() != dim) {
+            return Err(Error::Hdv(hdvec::HdvError::DimensionMismatch {
+                left: dim,
+                right: hv.dim(),
+            }));
         }
         let class_memory = ClassMemory::from_vectors(class_vectors)?;
         Ok(Self {
             encoder,
-            class_accumulators,
+            class_accumulators: Vec::new(),
             class_memory,
         })
+    }
+
+    /// Builds ±1 training counters from the class memory (each class
+    /// vector counted once) if the model has none: a loaded snapshot.
+    fn ensure_counters(&mut self) {
+        if self.class_accumulators.is_empty() {
+            let dim = self.encoder.config().dim;
+            self.class_accumulators = (0..self.num_classes())
+                .map(|class| {
+                    let mut acc = Accumulator::new(dim).expect("validated dimension");
+                    acc.add(&self.class_memory.get(class));
+                    acc
+                })
+                .collect();
+        }
     }
 
     /// Pins all batch operations of this model to an explicit pool —
@@ -320,6 +332,7 @@ impl GraphHdModel {
             labels.iter().all(|&l| (l as usize) < self.num_classes()),
             "label out of range"
         );
+        self.ensure_counters();
         let tie = self.encoder.config().tie_break;
         let mut epoch_errors = Vec::with_capacity(epochs);
         for _ in 0..epochs {
@@ -694,6 +707,59 @@ mod tests {
                     "class vectors diverged at {classes} classes, {threads} threads"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn loaded_model_retrains_from_counters_built_on_demand() {
+        // A hard task, so retraining a loaded model makes updates.
+        let classes = 4usize;
+        let mut rng = Xoshiro256PlusPlus::seed_from_u64(47);
+        let mut graphs = Vec::new();
+        let mut labels = Vec::new();
+        for i in 0..24 * classes {
+            let class = i % classes;
+            let base = generate::erdos_renyi(16, 0.2, &mut rng).expect("valid p");
+            graphs.push(
+                generate::with_planted_triangles(&base, class + 2, &mut rng).expect("n >= 3"),
+            );
+            labels.push(class as u32);
+        }
+        let config = GraphHdConfig::builder()
+            .dim(1024)
+            .build()
+            .expect("valid dimension");
+        let fitted = GraphHdModel::fit(config, &graphs, &labels, classes).expect("valid inputs");
+        let encodings = fitted.encoder().encode_all(&graphs);
+
+        let mut bytes = Vec::new();
+        fitted.save_to(&mut bytes).expect("in-memory save");
+        let mut loaded = GraphHdModel::load_from(&mut bytes.as_slice()).expect("load");
+        assert!(
+            loaded.class_accumulators.is_empty(),
+            "a load builds no training counters"
+        );
+        // The counters a load built before: each class vector once.
+        let own_class: Vec<u32> = (0..classes as u32).collect();
+        let mut reference = GraphHdModel::fit_encoded(
+            loaded.encoder().clone(),
+            &loaded.class_vectors(),
+            &own_class,
+            classes,
+        );
+        for round in 0..2 {
+            let report = loaded.retrain(&encodings, &labels, 3);
+            assert_eq!(
+                report,
+                reference.retrain(&encodings, &labels, 3),
+                "epoch errors diverged in round {round}"
+            );
+            assert!(report.epoch_errors[0] > 0, "task too easy");
+            assert_eq!(
+                loaded.class_vectors(),
+                reference.class_vectors(),
+                "class vectors diverged in round {round}"
+            );
         }
     }
 

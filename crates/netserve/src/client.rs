@@ -1,18 +1,21 @@
 //! A small blocking client for the wire protocol: one connection, one
 //! in-flight request at a time (the protocol answers frames in order,
 //! so callers wanting pipelining open more connections — they are
-//! cheap on both sides).
+//! cheap on both sides). Responses are read through one buffer per
+//! connection, so a small response costs one `recv`.
 
 use crate::error::NetError;
 use crate::wire::{self, ModelInfo, Request, Response};
 use graphcore::Graph;
+use std::io::BufReader;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 /// A blocking connection to a [`Server`](crate::Server).
 #[derive(Debug)]
 pub struct Client {
-    stream: TcpStream,
+    /// Reads responses; requests are written through `get_mut()`.
+    reader: BufReader<TcpStream>,
 }
 
 impl Client {
@@ -24,15 +27,17 @@ impl Client {
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Self, NetError> {
         let stream = TcpStream::connect(addr)?;
         let _ = stream.set_nodelay(true);
-        Ok(Self { stream })
+        Ok(Self {
+            reader: BufReader::new(stream),
+        })
     }
 
     /// One request/response exchange. A typed error frame becomes
     /// [`NetError::Remote`]; a close where a response was due becomes
     /// [`NetError::Disconnected`].
     fn exchange(&mut self, request: &Request) -> Result<Response, NetError> {
-        wire::write_request(&mut self.stream, request)?;
-        match wire::read_response(&mut self.stream)? {
+        wire::write_request(self.reader.get_mut(), request)?;
+        match wire::read_response(&mut self.reader)? {
             None => Err(NetError::Disconnected),
             Some(Response::Error { code, message }) => Err(NetError::Remote { code, message }),
             Some(response) => Ok(response),

@@ -9,19 +9,28 @@
 //! injected one — `net.read`/`net.write` fault points live in the
 //! frame loop) nor a poisoned stream can leak one.
 //!
+//! Each connection reads through one `BufReader` for its whole
+//! lifetime, over a reader that retries the poll-tick read timeouts:
+//! an idle connection waits with no deadline, a started frame has 10 s,
+//! and the lingering close after `BAD_FRAME` drains for up to 2 s.
+//! Refused connections linger on short-lived threads of their own (at
+//! most `max_connections` at once), so silent peers cannot stall the
+//! acceptor.
+//!
 //! [`Server::shutdown`] is a graceful drain: the accept loop stops,
-//! connection threads notice the flag at their next poll tick (a
-//! short read timeout keeps idle connections responsive), finish the
-//! request in flight, and the call returns once every slot is free.
+//! connection threads notice the flag at their next poll tick (idle or
+//! stalled mid-frame alike), finish the request in flight, and the
+//! call returns once every slot is free.
 
 use crate::error::NetError;
 use crate::metrics::ServerMetrics;
 use crate::registry::ModelRegistry;
 use crate::wire::{self, ErrorCode, Request, Response};
-use std::io::Read;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::ErrorKind::{Interrupted, TimedOut, WouldBlock};
+use std::io::{self, BufRead, BufReader, Read};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -103,6 +112,7 @@ impl ServerBuilder {
             slots: Mutex::new(0),
             drained: Condvar::new(),
             max_connections: self.max_connections,
+            lingering: Arc::new(AtomicUsize::new(0)),
         });
         let acceptor_inner = Arc::clone(&inner);
         let acceptor = std::thread::Builder::new()
@@ -129,6 +139,8 @@ struct Inner {
     slots: Mutex<usize>,
     drained: Condvar,
     max_connections: usize,
+    /// Refused connections lingering on their own threads.
+    lingering: Arc<AtomicUsize>,
 }
 
 /// A running server: accepting connections from the moment
@@ -257,34 +269,63 @@ impl Drop for SlotGuard {
     }
 }
 
-/// Closes a connection without clobbering data in flight: half-closes
-/// the write side (flushing the final frame to the peer) and drains
-/// whatever the peer already sent. Dropping a socket with unread
-/// received bytes sends an RST, which can destroy the typed error
-/// frame before the client reads it — this is the "closes cleanly"
-/// half of the protocol contract.
-fn linger_close(stream: &TcpStream) {
-    let _ = stream.shutdown(std::net::Shutdown::Write);
-    let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
-    let mut scratch = [0u8; 4096];
-    let give_up_at = Instant::now() + Duration::from_secs(2);
-    loop {
-        match (&mut &*stream).read(&mut scratch) {
-            Ok(0) => return,
-            Ok(_) => {}
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock
-                        | std::io::ErrorKind::TimedOut
-                        | std::io::ErrorKind::Interrupted
-                ) => {}
-            Err(_) => return,
-        }
-        if Instant::now() >= give_up_at {
-            return;
+/// One refusal lingering on its own thread, counted in
+/// `Inner::lingering` until dropped.
+struct Lingering(Arc<AtomicUsize>);
+
+impl Drop for Lingering {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// The one reader under a connection's `BufReader`: rides out the
+/// [`POLL_INTERVAL`] read timeouts until `give_up_at` passes (never,
+/// when `None`) or, if it watches `shutdown`, the server drains.
+struct Patient<'a> {
+    stream: &'a TcpStream,
+    shutdown: Option<&'a AtomicBool>,
+    give_up_at: Option<Instant>,
+}
+
+impl Read for Patient<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        loop {
+            match (&mut &*self.stream).read(buf) {
+                Err(e) if matches!(e.kind(), WouldBlock | TimedOut | Interrupted) => {
+                    let draining = self.shutdown.is_some_and(|s| s.load(Ordering::SeqCst));
+                    if draining || self.give_up_at.is_some_and(|t| Instant::now() >= t) {
+                        return Err(io::Error::new(TimedOut, "read timed out"));
+                    }
+                }
+                other => return other,
+            }
         }
     }
+}
+
+/// A buffered [`Patient`] over `stream`, with no deadline yet.
+fn patient<'a>(stream: &'a TcpStream, shutdown: Option<&'a AtomicBool>) -> BufReader<Patient<'a>> {
+    let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
+    BufReader::new(Patient {
+        stream,
+        shutdown,
+        give_up_at: None,
+    })
+}
+
+/// Closes a connection without clobbering data in flight: half-closes
+/// the write side (flushing the final frame to the peer) and drains
+/// whatever the peer already sent, for up to 2 s, shutdown or not.
+/// Dropping a socket with unread received bytes sends an RST, which
+/// can destroy the typed error frame before the client reads it — this
+/// is the "closes cleanly" half of the protocol contract.
+fn linger_close(reader: &mut BufReader<Patient<'_>>) {
+    let patient = reader.get_mut();
+    let _ = patient.stream.shutdown(Shutdown::Write);
+    patient.shutdown = None;
+    patient.give_up_at = Some(Instant::now() + Duration::from_secs(2));
+    let _ = io::copy(reader, &mut io::sink());
 }
 
 fn accept_loop(listener: &TcpListener, inner: &Arc<Inner>) {
@@ -335,7 +376,7 @@ fn handle_accept(stream: TcpStream, inner: &Arc<Inner>) {
                 message: format!("all {} connection slots are busy", inner.max_connections),
             },
         );
-        linger_close(&stream);
+        linger_refusal(stream, inner);
         return;
     }
     inner.metrics.connections_accepted.inc();
@@ -363,79 +404,34 @@ fn handle_accept(stream: TcpStream, inner: &Arc<Inner>) {
     }
 }
 
-/// What the idle poll observed on a connection.
-enum Poll {
-    /// At least one byte is waiting — read a frame.
-    Frame,
-    /// The peer closed, or the server is draining — exit the loop.
-    Close,
-}
-
-/// Waits for the next frame's first byte, polling the shutdown flag
-/// every [`POLL_INTERVAL`] (the stream's read timeout).
-fn poll_frame(stream: &TcpStream, inner: &Inner) -> Poll {
-    let mut probe = [0u8; 1];
-    loop {
-        if inner.shutdown.load(Ordering::SeqCst) {
-            return Poll::Close;
-        }
-        match stream.peek(&mut probe) {
-            Ok(0) => return Poll::Close,
-            Ok(_) => return Poll::Frame,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock
-                        | std::io::ErrorKind::TimedOut
-                        | std::io::ErrorKind::Interrupted
-                ) => {}
-            Err(_) => return Poll::Close,
-        }
+/// Lingers a refused connection on its own thread, or closes it at
+/// once when `max_connections` refusals already linger.
+fn linger_refusal(stream: TcpStream, inner: &Inner) {
+    let lingering = Lingering(Arc::clone(&inner.lingering));
+    if lingering.0.fetch_add(1, Ordering::SeqCst) >= inner.max_connections {
+        return;
     }
-}
-
-/// A reader that rides out the poll-tick read timeouts *within* a
-/// frame (the peer may write a frame in several segments) but gives
-/// up after [`FRAME_PATIENCE`] or as soon as the server drains — a
-/// stalled peer mid-frame must not hold shutdown hostage.
-struct FrameReader<'a> {
-    stream: &'a TcpStream,
-    inner: &'a Inner,
-    give_up_at: Instant,
-}
-
-impl Read for FrameReader<'_> {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        loop {
-            match (&mut &*self.stream).read(buf) {
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    if self.inner.shutdown.load(Ordering::SeqCst)
-                        || Instant::now() >= self.give_up_at
-                    {
-                        return Err(std::io::Error::new(
-                            std::io::ErrorKind::TimedOut,
-                            "frame read timed out",
-                        ));
-                    }
-                }
-                other => return other,
-            }
-        }
-    }
+    // A failed spawn drops the closure, and with it the count.
+    let _ = std::thread::Builder::new()
+        .name("netserve-linger".to_string())
+        .spawn(move || {
+            let _lingering = lingering;
+            linger_close(&mut patient(&stream, None));
+        });
 }
 
 fn connection_loop(stream: &TcpStream, inner: &Arc<Inner>) {
     let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
+    let mut reader = patient(stream, Some(&inner.shutdown));
     loop {
-        match poll_frame(stream, inner) {
-            Poll::Close => return,
-            Poll::Frame => {}
+        if inner.shutdown.load(Ordering::SeqCst) {
+            return;
+        }
+        // Idle: wait for the next frame's first byte with no deadline.
+        reader.get_mut().give_up_at = None;
+        match reader.fill_buf() {
+            Ok([]) | Err(_) => return,
+            Ok(_) => {}
         }
         if faultpoint::inject("net.read") {
             // An injected read fault kills this connection, not the
@@ -443,11 +439,8 @@ fn connection_loop(stream: &TcpStream, inner: &Arc<Inner>) {
             // close.
             return;
         }
-        let mut reader = FrameReader {
-            stream,
-            inner,
-            give_up_at: Instant::now() + FRAME_PATIENCE,
-        };
+        // A frame has started: a peer stalled mid-frame is given up on.
+        reader.get_mut().give_up_at = Some(Instant::now() + FRAME_PATIENCE);
         match wire::read_request(&mut reader) {
             Ok(None) => return,
             Ok(Some(request)) => {
@@ -469,7 +462,7 @@ fn connection_loop(stream: &TcpStream, inner: &Arc<Inner>) {
                         message: error.to_string(),
                     },
                 );
-                linger_close(stream);
+                linger_close(&mut reader);
                 return;
             }
         }
@@ -502,13 +495,6 @@ fn engine_error_code(error: &graphhd::Error) -> ErrorCode {
     }
 }
 
-fn engine_error(error: &graphhd::Error) -> Response {
-    Response::Error {
-        code: engine_error_code(error),
-        message: error.to_string(),
-    }
-}
-
 /// Handles one decoded request and writes the response. Returns
 /// `false` when the connection should close.
 fn respond(stream: &TcpStream, inner: &Arc<Inner>, request: &Request) -> bool {
@@ -518,16 +504,9 @@ fn respond(stream: &TcpStream, inner: &Arc<Inner>, request: &Request) -> bool {
             deadline,
             graph,
         } => {
-            return serve_model(stream, inner, model, |slot| {
-                let served = slot.served.load();
-                let result = match deadline {
-                    Some(budget) => served.engine.classify_within(graph, *budget),
-                    None => served.engine.classify(graph),
-                };
-                match result {
-                    Ok(class) => Response::Class(class),
-                    Err(e) => engine_error(&e),
-                }
+            return serve_model(stream, inner, model, |engine| match deadline {
+                Some(budget) => engine.classify_within(graph, *budget).map(Response::Class),
+                None => engine.classify(graph).map(Response::Class),
             });
         }
         Request::Scores {
@@ -535,16 +514,9 @@ fn respond(stream: &TcpStream, inner: &Arc<Inner>, request: &Request) -> bool {
             deadline,
             graph,
         } => {
-            return serve_model(stream, inner, model, |slot| {
-                let served = slot.served.load();
-                let result = match deadline {
-                    Some(budget) => served.engine.scores_within(graph, *budget),
-                    None => served.engine.scores(graph),
-                };
-                match result {
-                    Ok(scores) => Response::Scores(scores),
-                    Err(e) => engine_error(&e),
-                }
+            return serve_model(stream, inner, model, |engine| match deadline {
+                Some(budget) => engine.scores_within(graph, *budget).map(Response::Scores),
+                None => engine.scores(graph).map(Response::Scores),
             });
         }
         Request::ClassifyBatch {
@@ -552,16 +524,11 @@ fn respond(stream: &TcpStream, inner: &Arc<Inner>, request: &Request) -> bool {
             deadline,
             graphs,
         } => {
-            return serve_model(stream, inner, model, |slot| {
-                let served = slot.served.load();
-                let result = match deadline {
-                    Some(budget) => served.engine.classify_batch_within(graphs, *budget),
-                    None => served.engine.classify_batch(graphs),
-                };
-                match result {
-                    Ok(classes) => Response::Classes(classes),
-                    Err(e) => engine_error(&e),
-                }
+            return serve_model(stream, inner, model, |engine| match deadline {
+                Some(budget) => engine
+                    .classify_batch_within(graphs, *budget)
+                    .map(Response::Classes),
+                None => engine.classify_batch(graphs).map(Response::Classes),
             });
         }
         Request::ModelInfo { model } => match inner.registry.info(model) {
@@ -590,13 +557,16 @@ fn serve_model(
     stream: &TcpStream,
     inner: &Arc<Inner>,
     model: &str,
-    handle: impl FnOnce(&crate::registry::ModelSlot) -> Response,
+    handle: impl FnOnce(&engine::Engine) -> Result<Response, graphhd::Error>,
 ) -> bool {
     let Some(slot) = inner.registry.slot(model) else {
         return write_frame(stream, inner, &unknown_model(model));
     };
     let start = Instant::now();
-    let response = handle(&slot);
+    let response = handle(&slot.served.load().engine).unwrap_or_else(|e| Response::Error {
+        code: engine_error_code(&e),
+        message: e.to_string(),
+    });
     let keep_open = write_frame(stream, inner, &response);
     slot.net_request_ns.record_duration(start.elapsed());
     keep_open

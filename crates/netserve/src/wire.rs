@@ -27,7 +27,7 @@
 //! oversized allocation or a panic.
 
 use graphcore::Graph;
-use std::io::{Read, Write};
+use std::io::{BufRead, Read, Write};
 use std::time::Duration;
 
 /// First four bytes of every frame ("GraphHD Wire Protocol").
@@ -303,35 +303,12 @@ pub enum Response {
     },
 }
 
-/// Reads exactly `buf.len()` bytes, mapping a clean EOF before the
-/// first byte to `Ok(false)` — the caller distinguishes "peer closed
-/// between frames" from "stream died mid-frame".
-fn read_header(reader: &mut impl Read, buf: &mut [u8]) -> Result<bool, WireError> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match reader.read(&mut buf[filled..]) {
-            Ok(0) => {
-                if filled == 0 {
-                    return Ok(false);
-                }
-                return Err(WireError::Malformed {
-                    what: "stream ended inside a frame header",
-                });
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e.into()),
-        }
-    }
-    Ok(true)
-}
-
-fn read_exact(reader: &mut impl Read, buf: &mut [u8]) -> Result<(), WireError> {
+/// Reads exactly `buf.len()` bytes; a stream that ends first is
+/// [`WireError::Malformed`] with `what`.
+fn read_exact(reader: &mut impl Read, buf: &mut [u8], what: &'static str) -> Result<(), WireError> {
     reader.read_exact(buf).map_err(|e| {
         if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            WireError::Malformed {
-                what: "stream ended inside a frame body",
-            }
+            WireError::Malformed { what }
         } else {
             e.into()
         }
@@ -349,11 +326,12 @@ struct RawFrame {
 
 /// Reads one raw frame with full header validation and bounded
 /// allocation. `Ok(None)` is a clean EOF before any header byte.
-fn read_raw(reader: &mut impl Read) -> Result<Option<RawFrame>, WireError> {
-    let mut header = [0u8; HEADER_LEN];
-    if !read_header(reader, &mut header)? {
+fn read_raw(reader: &mut impl BufRead) -> Result<Option<RawFrame>, WireError> {
+    if reader.fill_buf()?.is_empty() {
         return Ok(None);
     }
+    let mut header = [0u8; HEADER_LEN];
+    read_exact(reader, &mut header, "stream ended inside a frame header")?;
     if header[0..4] != MAGIC {
         return Err(WireError::BadMagic);
     }
@@ -382,12 +360,12 @@ fn read_raw(reader: &mut impl Read) -> Result<Option<RawFrame>, WireError> {
         });
     }
     let mut name_bytes = vec![0u8; name_len];
-    read_exact(reader, &mut name_bytes)?;
+    read_exact(reader, &mut name_bytes, "stream ended inside a frame body")?;
     let name = String::from_utf8(name_bytes).map_err(|_| WireError::Malformed {
         what: "model name is not UTF-8",
     })?;
     let mut payload = vec![0u8; payload_len];
-    read_exact(reader, &mut payload)?;
+    read_exact(reader, &mut payload, "stream ended inside a frame body")?;
     Ok(Some(RawFrame {
         kind,
         name,
@@ -492,7 +470,7 @@ fn deadline_to(deadline: Option<Duration>) -> u64 {
 /// Returns [`WireError`] for I/O failures and malformed, oversized or
 /// unknown frames; the caller answers with
 /// [`ErrorCode::BadFrame`] and closes.
-pub fn read_request(reader: &mut impl Read) -> Result<Option<Request>, WireError> {
+pub fn read_request(reader: &mut impl BufRead) -> Result<Option<Request>, WireError> {
     let Some(raw) = read_raw(reader)? else {
         return Ok(None);
     };
@@ -549,7 +527,7 @@ pub fn read_request(reader: &mut impl Read) -> Result<Option<Request>, WireError
 ///
 /// Returns [`WireError`] for I/O failures and malformed, oversized or
 /// unknown frames.
-pub fn read_response(reader: &mut impl Read) -> Result<Option<Response>, WireError> {
+pub fn read_response(reader: &mut impl BufRead) -> Result<Option<Response>, WireError> {
     let Some(raw) = read_raw(reader)? else {
         return Ok(None);
     };

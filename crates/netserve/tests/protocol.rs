@@ -7,9 +7,9 @@
 
 use graphcore::{generate, Graph};
 use netserve::wire::{self, ErrorCode, Request, Response};
-use netserve::{Client, ModelRegistry, NetError, ServerBuilder};
+use netserve::{Client, ModelRegistry, NetError, ServerBuilder, WireError};
 use proptest::prelude::*;
-use std::io::Write;
+use std::io::{BufReader, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -71,8 +71,9 @@ fn send_raw(addr: std::net::SocketAddr, bytes: &[u8]) -> Vec<Response> {
     let _ = stream.shutdown(std::net::Shutdown::Write);
     let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
     let mut responses = Vec::new();
+    let mut reader = BufReader::new(stream);
     loop {
-        match wire::read_response(&mut stream) {
+        match wire::read_response(&mut reader) {
             Ok(Some(response)) => responses.push(response),
             Ok(None) => return responses,
             Err(e) => panic!("server wrote a malformed frame: {e}"),
@@ -244,5 +245,141 @@ fn connection_limit_refuses_with_typed_frame() {
     let mut third = Client::connect(server.local_addr()).expect("connect");
     assert!(third.classify("m", &graph).expect("slot was released") < 2);
     assert_eq!(server.stats().connections_refused, 1);
+    server.shutdown();
+}
+
+/// Several frames in one write are all answered, in order: the server
+/// decodes pipelined frames out of one buffer without losing any.
+#[test]
+fn pipelined_frames_in_one_write_are_answered_in_order() {
+    let (server, graph) = serve_one();
+    let other = generate::path(5);
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let expected = [
+        client.classify("m", &graph).expect("classify"),
+        client.classify("m", &other).expect("classify"),
+    ];
+    drop(client);
+
+    let mut bytes = classify_frame(&graph);
+    bytes.extend(classify_frame(&other));
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    stream.write_all(&bytes).expect("one write");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
+    let mut reader = BufReader::new(&stream);
+    for class in expected {
+        match wire::read_response(&mut reader) {
+            Ok(Some(Response::Class(answer))) => assert_eq!(answer, class),
+            other => panic!("expected a class answer, got {other:?}"),
+        }
+    }
+    drop(reader);
+    drop(stream);
+    assert_slots_drain(&server);
+    server.shutdown();
+}
+
+/// A frame written in two segments, with a pause longer than the
+/// server's read poll tick between them, is still answered.
+#[test]
+fn frame_split_across_a_pause_is_answered() {
+    let (server, graph) = serve_one();
+    let frame = classify_frame(&graph);
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    let (head, tail) = frame.split_at(frame.len() / 2);
+    stream.write_all(head).expect("first segment");
+    std::thread::sleep(Duration::from_millis(100));
+    stream.write_all(tail).expect("second segment");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
+    match wire::read_response(&mut BufReader::new(&stream)) {
+        Ok(Some(Response::Class(class))) => assert!(class < 2),
+        other => panic!("expected a class answer, got {other:?}"),
+    }
+    drop(stream);
+    assert_slots_drain(&server);
+    server.shutdown();
+}
+
+/// A peer that stops mid-frame does not hold up a drain: shutdown cuts
+/// the frame read short, and the slot is freed within a second.
+#[test]
+fn peer_stalled_mid_frame_does_not_hold_up_shutdown() {
+    let (server, graph) = serve_one();
+    let frame = classify_frame(&graph);
+    let stream = TcpStream::connect(server.local_addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
+    let mut reader = BufReader::new(stream);
+    // One full exchange first, so the connection thread is serving.
+    reader.get_mut().write_all(&frame).expect("full frame");
+    assert!(matches!(
+        wire::read_response(&mut reader),
+        Ok(Some(Response::Class(_)))
+    ));
+    reader
+        .get_mut()
+        .write_all(&frame[..frame.len() / 2])
+        .expect("half a frame");
+    let started = Instant::now();
+    std::thread::scope(|scope| {
+        let drain = scope.spawn(|| server.shutdown());
+        // The cut-short frame is answered with an error frame or a
+        // close (a reset, if the drain won the race to the first read);
+        // either way the peer then hangs up.
+        match wire::read_response(&mut reader) {
+            Ok(answer) => assert_error_or_silent(&Vec::from_iter(answer), "stalled frame"),
+            Err(WireError::Io { .. }) => {}
+            Err(e) => panic!("server wrote a malformed frame: {e}"),
+        }
+        drop(reader);
+        drain.join().expect("shutdown returns");
+    });
+    assert!(
+        started.elapsed() < Duration::from_secs(1),
+        "shutdown took {:?}",
+        started.elapsed()
+    );
+    assert_eq!(server.stats().connections_active, 0);
+}
+
+/// Silent peers refused at the limit do not stall the acceptor: each is
+/// refused at once, and a client that connects once the slot frees is
+/// served.
+#[test]
+fn silent_refused_peers_do_not_stall_the_acceptor() {
+    let registry = Arc::new(ModelRegistry::new());
+    registry.insert("m", fit_engine(9)).expect("insert");
+    let server = ServerBuilder::new(registry)
+        .max_connections(1)
+        .serve()
+        .expect("serve");
+    let graph = generate::complete(6);
+    let mut first = Client::connect(server.local_addr()).expect("connect");
+    assert!(first.classify("m", &graph).expect("first holds the slot") < 2);
+
+    let started = Instant::now();
+    let silent: Vec<TcpStream> = (0..3)
+        .map(|_| TcpStream::connect(server.local_addr()).expect("tcp connect"))
+        .collect();
+    while server.stats().connections_refused < 3 {
+        assert!(
+            started.elapsed() < Duration::from_secs(1),
+            "refusals stalled: {:?}",
+            server.stats()
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    drop(first);
+    assert_slots_drain(&server);
+    let mut next = Client::connect(server.local_addr()).expect("connect");
+    assert!(next.classify("m", &graph).expect("freed slot serves") < 2);
+    assert_eq!(server.stats().connections_refused, 3);
+    drop(silent);
     server.shutdown();
 }
